@@ -79,7 +79,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro", "serve", str(index_path),
             "--port-file", str(port_file),
-            "--mode", "thread", "--batch-window", "0.002",
+            "--mode", "thread",
             "--capacity", "32", "--drain-deadline", str(DRAIN_DEADLINE_S),
         ],
         env=env,

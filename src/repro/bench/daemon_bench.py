@@ -261,7 +261,6 @@ def _chaos_section(base, k: int, texts: list[str], expected: dict[str, list]) ->
             mode="process",
             workers=CHAOS_WORKERS,
             capacity=64,
-            batch_window=0.005,
             breaker_threshold=1,
             breaker_cooldown=0.75,
             default_deadline=30.0,
@@ -515,7 +514,6 @@ def run_daemon_bench(
         mode="thread",
         workers=client_threads,
         capacity=capacity,
-        batch_window=0.005,
         default_deadline=30.0,
         drain_deadline=20.0,
     )

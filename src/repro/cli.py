@@ -247,12 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
              "demote process mode to threads)",
     )
     serve.add_argument(
-        "--batch-window", type=float, default=0.01,
-        help="micro-batch coalescing window, seconds",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=32,
-        help="cap on one coalesced batch",
+        help="cap on one coalesced batch (batches form from requests "
+             "that queued while the previous batch was in flight)",
     )
     serve.add_argument(
         "--deadline", type=float, default=10.0,
@@ -480,7 +477,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         capacity=args.capacity,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         workers=args.workers,
         mode=args.mode,

@@ -37,7 +37,7 @@ import tempfile
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import TYPE_CHECKING, cast
 
@@ -152,6 +152,9 @@ class GraphDatabase:
         #: guarded by ``_pool_lock`` (always acquired *after* the
         #: RWLock, never holding it while evaluating).
         self._proc_pool: ProcessServingPool | None = None
+        #: Lazily created by the first ``serve_batch(mode="thread")`` and
+        #: reused across batches (same lock, same lifetime rules).
+        self._thread_pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         #: Degradation marker with a cooldown: set to a monotonic
         #: deadline when a process-serving pool exhausted its worker
@@ -444,7 +447,9 @@ class GraphDatabase:
         :meth:`build_index` accepts) sets the concurrency; ``mode``
         selects the execution substrate:
 
-        * ``"thread"`` (default) — a thread pool drains the query list;
+        * ``"thread"`` (default) — the session's thread pool (created
+          lazily, reused across batches, torn down by :meth:`close`)
+          drains the query list;
           each query evaluates under the session's shared (read) lock,
           so a concurrent :meth:`update` is serialized against in-flight
           evaluations and every answer reflects the engine at an update
@@ -521,6 +526,34 @@ class GraphDatabase:
                 results.append(slot)
         return BatchResult(results, time.perf_counter() - start)
 
+    def _submit_to_threads(
+        self, workers: int, queries: list[CPQ], limit: int | None
+    ) -> tuple[ThreadPoolExecutor, list[Future]]:
+        """Queue one round of evaluations on the session's serving threads.
+
+        The pool is created lazily, reused across batches, and (re)built
+        to the asked worker count.  Creation, submission, and every
+        shutdown happen under ``_pool_lock``, so a round is never
+        submitted to a pool some other caller just retired.
+        """
+        with self._pool_lock:
+            pool = self._thread_pool
+            if pool is not None and pool._max_workers != workers:
+                pool.shutdown(wait=False)  # queued work still runs, then the threads exit
+                pool = None
+            if pool is None:
+                pool = self._thread_pool = ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="repro-serve"
+                )
+            return pool, [pool.submit(self._serve_one, query, limit) for query in queries]
+
+    def _retire_thread_pool(self, pool: ThreadPoolExecutor) -> None:
+        """Stop routing work to ``pool`` without joining its threads."""
+        with self._pool_lock:
+            pool.shutdown(wait=False)
+            if self._thread_pool is pool:
+                self._thread_pool = None
+
     def _serve_batch_thread(
         self,
         resolved: list[CPQ],
@@ -534,16 +567,14 @@ class GraphDatabase:
 
         Threads cannot be killed, so a deadline here abandons the
         in-flight evaluation (its thread finishes in the background and
-        the answer is discarded) rather than interrupting it; the
-        executor is shut down without waiting when any evaluation was
-        abandoned.  Deterministic library errors
-        (:class:`~repro.errors.ReproError`) are not retried — re-running
-        a malformed query cannot succeed — and propagate unwrapped, as
-        they always have from this path.
+        the answer is discarded) rather than interrupting it; a pool
+        holding an abandoned evaluation is replaced — never joined — so
+        the next batch starts on healthy threads.  Deterministic library
+        errors (:class:`~repro.errors.ReproError`) are not retried —
+        re-running a malformed query cannot succeed — and propagate
+        unwrapped, as they always have from this path.
         """
         outcomes: list[ResultSet | ServeFailure | None] = [None] * len(resolved)
-        pool = ThreadPoolExecutor(max_workers=workers)
-        abandoned = False
 
         def settle(index: int, attempts: int, error: ServingError) -> None:
             if attempts <= retries:
@@ -556,23 +587,26 @@ class GraphDatabase:
                 if injector is not None:
                     injector.note("query.failed")
 
+        futures: list[Future] = []
         try:
             pending: list[tuple[int, int]] = [(index, 0) for index in range(len(resolved))]
             while pending:
-                submitted = []
-                for index, attempts in pending:
-                    future = pool.submit(self._serve_one, resolved[index], limit)
-                    deadline = None if timeout is None else time.monotonic() + timeout
-                    submitted.append((future, index, attempts + 1, deadline))
+                submitted = pending
+                pool, futures = self._submit_to_threads(
+                    workers, [resolved[index] for index, _ in submitted], limit
+                )
+                deadline = None if timeout is None else time.monotonic() + timeout
                 pending = []
-                for future, index, attempts, deadline in submitted:
+                for future, (index, attempts) in zip(futures, submitted, strict=True):
+                    attempts += 1
                     remaining = (
                         None if deadline is None else max(0.0, deadline - time.monotonic())
                     )
                     try:
                         outcomes[index] = future.result(remaining)
                     except FuturesTimeout:  # noqa: PERF203 - per-query deadline
-                        abandoned = True
+                        if not future.cancel() and future.running():
+                            self._retire_thread_pool(pool)  # abandoned mid-evaluation
                         settle(
                             index,
                             attempts,
@@ -591,7 +625,8 @@ class GraphDatabase:
                         error.__cause__ = exc
                         settle(index, attempts, error)
         finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            for future in futures:
+                future.cancel()  # only bites when a ReproError cut the round short
         # Every index was settled to a result or a permanent failure.
         return cast("list[ResultSet | ServeFailure]", outcomes)
 
@@ -761,10 +796,11 @@ class GraphDatabase:
                 self._proc_pool.invalidate()
 
     def close(self) -> None:
-        """Shut down the process-serving pool and serving-store files.
+        """Shut down the serving pools (processes and threads) and
+        serving-store files.
 
         The session itself stays usable — querying, updating, and even
-        process-mode serving (which simply builds a fresh pool and, if
+        pooled serving (which simply builds a fresh pool and, if
         needed, a fresh store generation) all still work.  Worker
         processes are daemonic, so an unclosed session cannot outlive
         the interpreter; ``close()`` just frees them eagerly.  Store
@@ -777,6 +813,9 @@ class GraphDatabase:
             if self._proc_pool is not None:
                 self._proc_pool.close()
                 self._proc_pool = None
+            threads, self._thread_pool = self._thread_pool, None
+        if threads is not None:
+            threads.shutdown(wait=True)  # outside the lock: evaluations may be in flight
         with self._store_lock:
             if self._store_dir is not None:
                 if self._store_state is not None and str(self._store_state.path).startswith(

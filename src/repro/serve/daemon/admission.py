@@ -33,7 +33,7 @@ Response = tuple[int, dict]
 
 
 class Request:
-    """One admitted query waiting for (or in) a micro-batch."""
+    """One admitted query waiting for (or in) a batch."""
 
     __slots__ = ("deadline", "enqueued_at", "future", "limit", "query", "text")
 
@@ -165,6 +165,10 @@ class DaemonStats:
         self.expired = 0
         self.batches = 0
         self.swaps = 0
+        self.connections_accepted = 0
+        #: Enqueue → dispatch (time spent waiting behind the in-flight
+        #: batch) beside ``latency``, the enqueue → answer total.
+        self.queue_wait = LatencyRecorder()
         self.latency = LatencyRecorder()
 
     def snapshot(self) -> dict:
@@ -178,5 +182,7 @@ class DaemonStats:
             "expired": self.expired,
             "batches": self.batches,
             "swaps": self.swaps,
+            "connections_accepted": self.connections_accepted,
+            "queue_wait": self.queue_wait.snapshot(),
             "latency": self.latency.snapshot(),
         }

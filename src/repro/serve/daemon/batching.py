@@ -1,12 +1,14 @@
-"""Micro-batch coalescing: fuse queued requests into one ``serve_batch``.
+"""Work-conserving batching: dispatch when idle, coalesce behind a batch.
 
-The daemon's throughput story is *inherited*, not reinvented: requests
-arriving within :attr:`DaemonConfig.batch_window` of each other are
-fused into a single :meth:`GraphDatabase.serve_batch` call, so the
-parallel read path (thread or process pools, deadlines, retries,
-zero-copy shipping) serves the HTTP front end exactly as it serves the
-embedded API.  One batch is in flight at a time; the admission queue
-buffers (boundedly) behind it.
+The batch loop never waits for company: it takes the first queued
+request *plus whatever is already queued* (up to
+:attr:`DaemonConfig.max_batch`) and dispatches at once as a single
+:meth:`GraphDatabase.serve_batch` call.  One batch is in flight at a
+time, so batches form only from what arrived while the previous one was
+being served — exactly when coalescing pays (shared memo layers, one
+pool dispatch) — and a lone request on an idle daemon is served alone,
+immediately.  The admission queue buffers (boundedly) behind the
+in-flight batch.
 
 Per-request deadlines compose with the batch deadline: requests whose
 deadline already passed are answered ``504`` without being served, and
@@ -60,32 +62,21 @@ async def batch_loop(daemon: ServingDaemon) -> None:
     """Consume the admission queue forever, one coalesced batch at a time.
 
     Ends when the drain sentinel (:data:`~repro.serve.daemon.admission.STOP`)
-    is consumed — anything coalesced alongside it is still served first,
-    so SIGTERM never abandons an admitted request inside the window.
+    is consumed — everything queued ahead of it is still served first,
+    so SIGTERM never abandons an admitted request.
     """
     queue = daemon.queue
-    loop = asyncio.get_running_loop()
-    stopping = False
-    while not stopping:
+    item: object = None
+    while item is not STOP:
         await daemon.dispatch_gate.wait()
         item = await queue.get()
-        if item is STOP:
-            break
-        batch = [item]
-        window_end = loop.time() + daemon.config.batch_window
-        while len(batch) < daemon.config.max_batch:
-            remaining = window_end - loop.time()
-            if remaining <= 0:
+        batch: list[Request] = []
+        while isinstance(item, Request):
+            batch.append(item)
+            if len(batch) == daemon.config.max_batch or not queue.depth():
                 break
-            try:
-                extra = await asyncio.wait_for(queue.get(), remaining)
-            except TimeoutError:  # noqa: PERF203 - window expiry, per iteration
-                break
-            if extra is STOP:
-                stopping = True
-                break
-            batch.append(extra)
-        await serve_requests(daemon, [request for request in batch if isinstance(request, Request)])
+            item = queue.get_nowait()
+        await serve_requests(daemon, batch)
 
 
 async def serve_requests(daemon: ServingDaemon, batch: list[Request]) -> None:
@@ -100,6 +91,7 @@ async def serve_requests(daemon: ServingDaemon, batch: list[Request]) -> None:
                 504, {"error": "deadline", "detail": "deadline expired before dispatch"}
             )
         else:
+            daemon.stats.queue_wait.record(now - request.enqueued_at)
             live.append(request)
     if not live:
         return

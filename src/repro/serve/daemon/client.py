@@ -2,10 +2,14 @@
 
 Used by the daemon bench's load generator, the CI smoke script, and
 tests — anything that needs to talk to a running ``repro serve``
-without pulling in an HTTP library.  One connection per call (the
-daemon handles keep-alive, but a fresh connection keeps the client
-trivially safe to use from many threads at once: the load generator
-runs one client per worker thread).
+without pulling in an HTTP library.  The client keeps one persistent
+HTTP/1.1 connection *per calling thread* (the daemon speaks
+keep-alive), so a closed-loop caller pays the TCP handshake once, not
+per request, and one client is still safe to share between threads:
+the load generator's workers never touch each other's sockets.  A
+reused connection the daemon has meanwhile closed (a restart, a drain)
+is detected on the next call and retried exactly once on a fresh
+connection; a failure on a fresh connection is the caller's to see.
 
 Every method returns ``(status, payload)`` — the daemon's structured
 responses pass through unmapped, so callers branch on
@@ -17,7 +21,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
+import weakref
 
 #: A client call resolves to ``(http status, decoded JSON payload)``.
 ClientResponse = tuple[int, dict]
@@ -30,22 +36,55 @@ class DaemonClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()  # .connection: this thread's HTTPConnection
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call reconnects)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> ClientResponse:
-        connection = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            # Close the socket when its thread is gone (or at exit).
+            weakref.finalize(threading.current_thread(), connection.close)
+        # An open socket may have been closed by the daemon since its
+        # last response; that only shows on use, and earns one retry.
+        reused = connection.sock is not None
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
+            return self._exchange(connection, method, path, body, headers)
+        except ConnectionError:
+            if not reused:
+                raise
+        return self._exchange(connection, method, path, body, headers)
+
+    @staticmethod
+    def _exchange(
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: dict,
+    ) -> ClientResponse:
+        """One request/response; the socket is dropped on any failure
+        (``HTTPConnection`` reconnects on its next request)."""
+        try:
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
             raw = response.read()
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
-            return response.status, decoded
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        return response.status, json.loads(raw.decode("utf-8")) if raw else {}
 
     # ------------------------------------------------------------------
     # probes

@@ -3,8 +3,8 @@
 Stdlib-only by design (the project adds no dependencies): enough
 HTTP/1.1 to serve JSON over keep-alive connections from load
 generators and probes — request line, headers, ``Content-Length``
-bodies, nothing else (no chunked encoding, no TLS; front a real proxy
-with it in anger).
+bodies, ``Connection: close`` / HTTP/1.0 honoured, nothing else (no
+chunked encoding, no TLS; front a real proxy with it in anger).
 
 Routes::
 
@@ -52,37 +52,46 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, bytes] | None:
-    """Parse one request; ``None`` on a cleanly closed connection."""
-    line = await reader.readline()
-    if not line:
-        return None
+    line: bytes, reader: asyncio.StreamReader
+) -> tuple[str, str, bytes, bool]:
+    """Parse the request whose request line is ``line``.
+
+    Returns ``(method, target, body, keep_alive)``; ``keep_alive`` is
+    the HTTP default for the request's version (1.1 persists, 1.0 does
+    not) unless its ``Connection`` header says otherwise.
+    """
     parts = line.decode("latin-1").split()
     if len(parts) != 3:
         raise ValueError(f"malformed request line: {line!r}")
-    method, target, _version = parts
+    method, target, version = parts
+    connection = ""
     length = 0
     while True:
         raw = await reader.readline()
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
+        name = name.strip().lower()
+        if name == "content-length":
             length = int(value.strip())
+        elif name == "connection":
+            connection = value.strip().lower()
     if length > MAX_BODY_BYTES:
         raise ValueError(f"request body too large: {length} bytes")
     body = await reader.readexactly(length) if length else b""
-    return method, target, body
+    keep_alive = connection == "keep-alive" if version == "HTTP/1.0" else connection != "close"
+    return method, target, body, keep_alive
 
 
-def _write_response(writer: asyncio.StreamWriter, status: int, payload: dict) -> None:
+def _write_response(
+    writer: asyncio.StreamWriter, status: int, payload: dict, keep_alive: bool
+) -> None:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: keep-alive\r\n\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
     writer.write(head.encode("latin-1") + body)
 
@@ -130,20 +139,34 @@ async def _route(daemon: ServingDaemon, method: str, target: str, body: bytes) -
 async def _handle_connection(
     daemon: ServingDaemon, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
-    """Serve one keep-alive connection until it closes or errors."""
+    """Serve one connection until the peer closes it or asks us to.
+
+    A request's ``Connection: close`` (or HTTP/1.0 without
+    ``keep-alive``) is honoured by echoing ``close`` and closing after
+    the response; a draining daemon closes every connection after the
+    response it is writing, and :meth:`ServingDaemon.close` closes the
+    ones idling between requests.
+    """
+    daemon.stats.connections_accepted += 1
     try:
-        while True:
+        keep_alive = True
+        while keep_alive:
+            daemon.idle_connections.add(writer)
             try:
-                parsed = await _read_request(reader)
+                line = await reader.readline()
+            finally:
+                daemon.idle_connections.discard(writer)
+            if not line:
+                break
+            try:
+                method, target, body, keep_alive = await _read_request(line, reader)
             except (ValueError, asyncio.IncompleteReadError) as exc:
-                _write_response(writer, 400, {"error": "bad_request", "detail": str(exc)})
+                _write_response(writer, 400, {"error": "bad_request", "detail": str(exc)}, False)
                 await writer.drain()
                 break
-            if parsed is None:
-                break
-            method, target, body = parsed
             status, payload = await _route(daemon, method, target, body)
-            _write_response(writer, status, payload)
+            keep_alive = keep_alive and not daemon.draining
+            _write_response(writer, status, payload, keep_alive)
             await writer.drain()
     except (ConnectionError, OSError, asyncio.CancelledError):
         # The peer vanished (or the server is closing): nothing to

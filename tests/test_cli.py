@@ -186,7 +186,7 @@ class TestServeCommand:
         thread = threading.Thread(
             target=lambda: codes.append(main([
                 "serve", str(index), "--port-file", str(port_file),
-                "--mode", "thread", "--batch-window", "0.002",
+                "--mode", "thread",
             ])),
             daemon=True,
         )

@@ -7,7 +7,9 @@ The guarantees under test (documented in ``docs/concurrency.md``):
 * :class:`repro.core.cache.LRUCache` survives concurrent get/put
   hammering without corruption;
 * :meth:`GraphDatabase.serve_batch` under N threads returns exactly the
-  serial :meth:`execute_batch` answers;
+  serial :meth:`execute_batch` answers, on one session-owned pool that
+  is reused across batches, replaced after an abandoned evaluation, and
+  torn down by ``close()``;
 * the stress case: reader threads querying *while* ``update()``
   mutates the graph never observe a state that is not an update
   boundary, and no stale memo entry survives an update.
@@ -15,6 +17,7 @@ The guarantees under test (documented in ``docs/concurrency.md``):
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -24,6 +27,7 @@ from repro.core.cache import LRUCache
 from repro.core.concurrency import RWLock
 from repro.core.cpqx import CPQxIndex
 from repro.db import GraphDatabase
+from repro.errors import QueryTimeoutError
 from repro.graph.generators import random_graph
 
 QUERIES = [
@@ -168,6 +172,93 @@ class TestServeBatch:
         batch = db.serve_batch(["l1 & l2"], workers=2, limit=3)
         assert db.is_built  # engine="auto" resolved before threading
         assert len(batch[0].pairs()) <= 3
+
+
+class TestSessionServingThreads:
+    """``serve_batch(mode="thread")`` runs on one session-owned pool."""
+
+    @pytest.fixture
+    def db(self, stress_graph):
+        database = GraphDatabase.from_graph(stress_graph.copy()).build_index(
+            engine="cpqx", k=2
+        )
+        yield database
+        database.close()
+
+    @staticmethod
+    def serving_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("repro-serve")]
+
+    def test_repeated_batches_reuse_the_same_threads(self, db):
+        db.serve_batch(QUERIES * 2, workers=3, mode="thread")
+        pool = db._thread_pool
+        before = threading.active_count()
+        for _ in range(20):
+            db.serve_batch(QUERIES * 2, workers=3, mode="thread")
+        assert db._thread_pool is pool
+        assert threading.active_count() <= before  # nothing spawned per batch
+        assert len(self.serving_threads()) <= 3
+
+    def test_timed_out_evaluation_leaves_a_healthy_pool_behind(self, db):
+        serial = db.execute_batch(QUERIES)
+        real = db._serve_one
+        stuck, release = threading.Event(), threading.Event()
+
+        def wedged(query, limit):
+            stuck.set()
+            assert release.wait(10.0)
+            return real(query, limit)
+
+        try:
+            db._serve_one = wedged
+            with pytest.raises(QueryTimeoutError):
+                db.serve_batch(QUERIES[:1], workers=1, mode="thread", timeout=0.05, retries=0)
+            assert stuck.is_set()
+            db._serve_one = real
+            # The only worker of the old pool is still wedged; the next
+            # batch must not queue behind it.
+            batch = db.serve_batch(QUERIES, workers=1, mode="thread", timeout=5.0)
+            assert not release.is_set()
+            assert [result.pairs() for result in batch] == [r.pairs() for r in serial]
+        finally:
+            release.set()
+
+    def test_close_leaves_no_serving_threads(self, db):
+        db.serve_batch(QUERIES, workers=4, mode="thread")
+        assert self.serving_threads()
+        db.close()
+        assert not self.serving_threads()
+        # The session stays usable: the next batch builds a fresh pool.
+        assert len(db.serve_batch(QUERIES, workers=2, mode="thread")) == len(QUERIES)
+
+    def test_concurrent_callers_with_different_worker_counts(self, db):
+        # Callers asking for different worker counts keep replacing the
+        # shared pool under each other; no round may land on a pool that
+        # was just shut down, and every answer stays the serial one.
+        serial = [result.pairs() for result in db.execute_batch(QUERIES)]
+        failures: list[BaseException] = []
+        deadline = time.monotonic() + 1.5
+
+        def caller(workers: int) -> None:
+            try:
+                while time.monotonic() < deadline:
+                    batch = db.serve_batch(QUERIES, workers=workers, mode="thread")
+                    assert [result.pairs() for result in batch] == serial
+            except BaseException as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(2 + n % 3,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
 
 
 class TestConcurrentUpdateStress:

@@ -18,6 +18,8 @@ breaker, or a mid-flight hot swap did around it.
 from __future__ import annotations
 
 import asyncio
+import socket
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,6 +31,7 @@ from repro.graph.generators import random_graph
 from repro.serve.daemon import (
     AdmissionQueue,
     CircuitBreaker,
+    DaemonClient,
     DaemonConfig,
     LatencyRecorder,
     Request,
@@ -226,7 +229,7 @@ class TestDaemonServing:
                 assert payload["count"] == len(expected[text])
                 assert payload["generation"] == 1
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
 
     def test_concurrent_submissions_coalesce_into_batches(self, db):
         async def scenario(daemon):
@@ -240,9 +243,50 @@ class TestDaemonServing:
             # All six parked requests fused into one serve_batch call.
             assert any(payload["batched"] == len(QUERIES) for _, payload in responses)
 
-        run_with_daemon(
-            db, DaemonConfig(mode="thread", batch_window=0.05, max_batch=32), scenario
-        )
+        run_with_daemon(db, DaemonConfig(mode="thread", max_batch=32), scenario)
+
+    def test_lone_request_on_an_idle_daemon_is_dispatched_alone(self, db):
+        async def scenario(daemon):
+            for served in (1, 2, 3):
+                status, payload = await daemon.submit(QUERIES[0])
+                assert status == 200
+                assert payload["batched"] == 1  # no timer, no company
+                assert daemon.stats.batches == served
+            assert daemon.stats.queue_wait.count == 3
+
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
+
+    def test_requests_behind_an_in_flight_batch_fuse_up_to_max_batch(
+        self, db, monkeypatch
+    ):
+        real = db.serve_batch
+        entered, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            entered.set()
+            assert release.wait(10.0)
+            return real(*args, **kwargs)
+
+        async def scenario(daemon):
+            monkeypatch.setattr(db, "serve_batch", held)
+            first = asyncio.create_task(daemon.submit(QUERIES[0]))
+            assert await asyncio.to_thread(entered.wait, 10.0)
+            # One batch is in flight: everything submitted now queues.
+            behind = [asyncio.create_task(daemon.submit(text)) for text in QUERIES]
+            while daemon.queue.depth() < len(QUERIES):
+                await asyncio.sleep(0.005)
+            assert daemon.stats.batches == 1
+            release.set()
+            status, payload = await first
+            assert (status, payload["batched"]) == (200, 1)
+            responses = await asyncio.gather(*behind)
+            assert all(status == 200 for status, _ in responses)
+            # Six queued, max_batch 4: one batch of four, then the two
+            # that were left — no third straggler batch, no timer.
+            assert [payload["batched"] for _, payload in responses] == [4, 4, 4, 4, 2, 2]
+            assert daemon.stats.batches == 3
+
+        run_with_daemon(db, DaemonConfig(mode="thread", max_batch=4), scenario)
 
     def test_parse_errors_are_structured_400s(self, db):
         async def scenario(daemon):
@@ -284,9 +328,7 @@ class TestDaemonServing:
             responses = await asyncio.gather(*seated)
             assert all(status == 200 for status, _ in responses)
 
-        run_with_daemon(
-            db, DaemonConfig(mode="thread", capacity=2, batch_window=0.002), scenario
-        )
+        run_with_daemon(db, DaemonConfig(mode="thread", capacity=2), scenario)
 
     def test_expired_deadlines_rejected_before_dispatch(self, db):
         async def scenario(daemon):
@@ -301,9 +343,12 @@ class TestDaemonServing:
             assert payload["error"] == "deadline"
             assert daemon.stats.expired == 1
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
 
-    def test_graceful_drain_answers_everything_admitted(self, db):
+    @pytest.mark.parametrize("max_batch", [32, 4])
+    def test_graceful_drain_answers_everything_admitted(self, db, max_batch):
+        # max_batch=32: STOP is coalesced right behind all six requests;
+        # max_batch=4: a full batch, then the rest with STOP behind them.
         expected = expected_answers(db, QUERIES)
 
         async def scenario(daemon):
@@ -324,9 +369,7 @@ class TestDaemonServing:
             assert daemon.drained_clean is True
 
         async def main():
-            daemon = ServingDaemon(
-                db, DaemonConfig(mode="thread", batch_window=0.002)
-            )
+            daemon = ServingDaemon(db, DaemonConfig(mode="thread", max_batch=max_batch))
             await daemon.start()
             try:
                 await scenario(daemon)
@@ -358,10 +401,7 @@ class TestDaemonServing:
                 assert (status, payload["error"]) == (503, "draining")
 
         async def main():
-            daemon = ServingDaemon(
-                db,
-                DaemonConfig(mode="thread", batch_window=0.002, drain_deadline=0.1),
-            )
+            daemon = ServingDaemon(db, DaemonConfig(mode="thread", drain_deadline=0.1))
             await daemon.start()
             try:
                 await scenario(daemon)
@@ -384,7 +424,7 @@ class TestDaemonServing:
             assert payload["error"] == "serving"
             assert daemon.breaker.failures == 1
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
 
 
 class TestHotSwap:
@@ -416,7 +456,7 @@ class TestHotSwap:
                 assert status == 200
                 assert payload["answers"] == expected_new[text]
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
         assert changed, "update must change at least one workload answer"
 
     def test_probes_racing_a_swap_see_old_or_new_never_torn(self, db, daemon_graph):
@@ -446,7 +486,7 @@ class TestHotSwap:
                 assert status == 200
                 assert payload["answers"] in (expected_old[text], expected_new[text])
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
 
     def test_reload_swaps_a_saved_index_in(self, db, daemon_graph, tmp_path):
         texts = list(QUERIES)
@@ -471,7 +511,7 @@ class TestHotSwap:
                 assert status == 200
                 assert payload["answers"] == expected_new[text]
 
-        run_with_daemon(db, DaemonConfig(mode="thread", batch_window=0.002), scenario)
+        run_with_daemon(db, DaemonConfig(mode="thread"), scenario)
 
     def test_reload_rejects_bad_paths_without_dropping_the_index(self, db):
         async def scenario(daemon):
@@ -490,9 +530,7 @@ class TestHotSwap:
 class TestDaemonOverHTTP:
     def test_lifecycle_probes_query_stats_and_drain(self, db):
         expected = expected_answers(db, QUERIES)
-        harness = DaemonHarness(
-            db, DaemonConfig(mode="thread", batch_window=0.002, capacity=8)
-        )
+        harness = DaemonHarness(db, DaemonConfig(mode="thread", capacity=8))
         client = harness.start()
         try:
             assert client.healthz()[0] == 200
@@ -510,6 +548,11 @@ class TestDaemonOverHTTP:
             assert stats["breaker"]["state"] == "closed"
             assert stats["queue"]["capacity"] == 8
             assert stats["latency"]["count"] == len(QUERIES)
+            # Time waiting for a batch is reported beside the total.
+            assert stats["queue_wait"]["count"] == len(QUERIES)
+            assert stats["queue_wait"]["p50_ms"] <= stats["latency"]["p50_ms"]
+            # One connection per calling thread: this one and the workers.
+            assert 2 <= stats["connections_accepted"] <= 5
         finally:
             harness.stop(client)
         assert harness.daemon.drained_clean is True
@@ -546,3 +589,168 @@ class TestDaemonOverHTTP:
         harness.stop(client)  # POST /shutdown + join
         assert harness.daemon.drained_clean is True
         assert harness.daemon.stats.completed == 1
+
+    def test_sequential_calls_share_one_connection(self, db):
+        harness = DaemonHarness(db, DaemonConfig(mode="thread"))
+        client = harness.start()  # readiness probes already ride on it
+        try:
+            for text in QUERIES * 3:
+                assert client.query(text)[0] == 200
+            assert client.stats()["connections_accepted"] == 1
+        finally:
+            harness.stop(client)
+
+    def test_two_threads_share_one_client_without_crosstalk(self, db):
+        expected = expected_answers(db, QUERIES)
+        harness = DaemonHarness(db, DaemonConfig(mode="thread"))
+        client = harness.start()
+        wrong: list[str] = []
+
+        def hammer(texts):
+            for text in texts * 10:
+                status, payload = client.query(text)
+                if status != 200 or payload["answers"] != expected[text]:
+                    wrong.append(text)
+
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(QUERIES[offset::2],))
+                for offset in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+            assert not wrong
+            assert client.stats()["connections_accepted"] == 3  # one per thread
+        finally:
+            harness.stop(client)
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        ],
+    )
+    def test_connection_close_is_honoured(self, db, request_head):
+        harness = DaemonHarness(db, DaemonConfig(mode="thread"))
+        client = harness.start()
+        try:
+            with socket.create_connection(("127.0.0.1", harness.daemon.port), 10.0) as raw:
+                raw.sendall(request_head)
+                received = b""
+                while chunk := raw.recv(65536):  # EOF-delimited: ends at the close
+                    received += chunk
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            assert b"connection: close" in head.lower()
+            assert b'"ok": true' in body
+        finally:
+            harness.stop(client)
+
+    def test_http_1_0_keep_alive_and_1_1_default_persist(self, db):
+        harness = DaemonHarness(db, DaemonConfig(mode="thread"))
+        client = harness.start()
+        try:
+            with socket.create_connection(("127.0.0.1", harness.daemon.port), 10.0) as raw:
+                reader = raw.makefile("rb")
+                for request_head in (
+                    b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+                ):
+                    raw.sendall(request_head)
+                    assert reader.readline().startswith(b"HTTP/1.1 200")
+                    headers = {}
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        name, _, value = line.decode().partition(":")
+                        headers[name.lower()] = value.strip()
+                    assert headers["connection"] == "keep-alive"
+                    reader.read(int(headers["content-length"]))
+        finally:
+            harness.stop(client)
+
+    def test_shutdown_closes_idle_keep_alive_connections_promptly(self, db):
+        harness = DaemonHarness(db, DaemonConfig(mode="thread"))
+        client = harness.start()
+        with socket.create_connection(("127.0.0.1", harness.daemon.port), 10.0) as idle:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200")
+            started = time.monotonic()
+            harness.stop(client)  # both keep-alive connections are idle now
+            # Well inside close()'s 5 s wait_closed bound.
+            assert time.monotonic() - started < 3.0
+            assert idle.recv(65536) == b""  # the daemon hung up on us
+        assert harness.daemon.drained_clean is True
+
+
+# ---------------------------------------------------------------------------
+# the client's persistent connection against a scripted peer
+# ---------------------------------------------------------------------------
+class ScriptedServer:
+    """A TCP peer that answers ``script[i]`` requests on its i-th
+    connection (claiming keep-alive each time), then hangs up."""
+
+    def __init__(self, script):
+        self.script = script
+        self.accepted = 0
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        body = b'{"ok": true}'
+        response = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nConnection: keep-alive\r\n\r\n%s" % (len(body), body)
+        )
+        for answers in self.script:
+            connection, _ = self._listener.accept()
+            self.accepted += 1
+            with connection, connection.makefile("rb") as reader:
+                for _ in range(answers):
+                    while reader.readline() not in (b"\r\n", b""):
+                        pass
+                    self.requests += 1
+                    connection.sendall(response)
+        self._listener.close()
+
+    def join(self):
+        self._thread.join(10.0)
+        assert not self._thread.is_alive()
+
+
+class TestClientConnectionReuse:
+    def test_stale_reused_connection_is_retried_on_a_fresh_one(self):
+        server = ScriptedServer([1, 2])
+        client = DaemonClient("127.0.0.1", server.port, timeout=10.0)
+        assert client.healthz() == (200, {"ok": True})
+        # The peer hung up after its first answer; the client only finds
+        # out when it reuses the socket, and reconnects transparently.
+        assert client.healthz() == (200, {"ok": True})
+        assert client.healthz() == (200, {"ok": True})
+        client.close()
+        server.join()
+        assert (server.accepted, server.requests) == (2, 3)
+
+    def test_stale_connection_is_retried_exactly_once(self):
+        server = ScriptedServer([1, 0])
+        client = DaemonClient("127.0.0.1", server.port, timeout=10.0)
+        assert client.healthz()[0] == 200
+        with pytest.raises(ConnectionError):
+            client.healthz()  # stale, then the one fresh retry dies too
+        server.join()
+        assert server.accepted == 2
+
+    def test_fresh_connection_failure_is_not_retried(self):
+        server = ScriptedServer([0, 1])
+        client = DaemonClient("127.0.0.1", server.port, timeout=10.0)
+        with pytest.raises(ConnectionError):
+            client.healthz()
+        assert server.accepted == 1  # no second attempt was made
+        assert client.healthz()[0] == 200  # the next call starts clean
+        client.close()
+        server.join()
