@@ -12,7 +12,8 @@ Classes are the CPQ_k-equivalence classes computed by
 pairs; conjunctions intersect class-id sets (Prop. 4.1); pairs are only
 materialized when a JOIN or the query root demands them — and then as
 sorted code columns combined without decoding (classes are disjoint, so
-expansion is a concatenation plus one C-level sort over pre-sorted runs).
+expanding a class set is one concatenation plus one sort, however many
+classes it holds).
 
 Construction (Algorithm 2) supports two strategies:
 
@@ -209,12 +210,14 @@ class CPQxIndex(EngineBase):
         return Result.of_classes(self._il2c.get(seq, ()))
 
     def expand_classes(self, classes: frozenset[int]) -> PairSet:
-        """``∪ Ic2p(c)`` over ``classes``: concatenate the disjoint
-        columns and re-sort (C Timsort over pre-sorted runs)."""
-        ic2p = self._ic2p
+        """``∪ Ic2p(c)`` over ``classes``: one concatenation plus one
+        sort of the disjoint class columns.
+
+        Every class id an ``Il2c`` posting yields is in ``Ic2p``:
+        maintenance drops an emptied class from both together.
+        """
         return PairSet.union_disjoint(
-            (ic2p[class_id] for class_id in classes if class_id in ic2p),
-            self.graph.interner,
+            map(self._ic2p.__getitem__, classes), self.graph.interner
         )
 
     def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:

@@ -218,12 +218,14 @@ class InterestAwareIndex(EngineBase):
         return Result.of_classes(self._il2c.get(seq, ()))
 
     def expand_classes(self, classes: frozenset[int]) -> PairSet:
-        """``∪ Ic2p(c)`` over ``classes``: concatenate the disjoint
-        columns and re-sort (C Timsort over pre-sorted runs)."""
-        ic2p = self._ic2p
+        """``∪ Ic2p(c)`` over ``classes``: one concatenation plus one
+        sort of the disjoint class columns.
+
+        Every class id an ``Il2c`` posting yields is in ``Ic2p``:
+        :meth:`_remove_code` drops an emptied class from both together.
+        """
         return PairSet.union_disjoint(
-            (ic2p[class_id] for class_id in classes if class_id in ic2p),
-            self.graph.interner,
+            map(self._ic2p.__getitem__, classes), self.graph.interner
         )
 
     def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:

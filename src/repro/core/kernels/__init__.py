@@ -154,7 +154,7 @@ def column_from_set(codes: set[int]) -> array:
     return _BACKENDS[_ACTIVE].column_from_set(codes)
 
 
-def concat_sorted(columns: list[Column]) -> array:
+def concat_sorted(columns: Iterable[Column]) -> array:
     """Pairwise-disjoint sorted columns → one sorted column."""
     return _BACKENDS[_ACTIVE].concat_sorted(columns)
 

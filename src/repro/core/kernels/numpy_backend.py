@@ -122,13 +122,19 @@ def column_from_set(codes: set[int]) -> array:
     return to_column(nd)
 
 
-def concat_sorted(columns: list[Column]) -> array:
-    """Pairwise-disjoint sorted columns → one sorted column."""
-    if not columns:
-        return array("q")
-    merged = np.concatenate([as_ndarray(column) for column in columns])
-    merged.sort()
-    return to_column(merged)
+def concat_sorted(columns: Iterable[Column]) -> array:
+    """Pairwise-disjoint sorted columns → one sorted column.
+
+    A constant number of C calls however many columns there are: one
+    ``b"".join`` over their buffers (owned arrays and mapped memoryviews
+    alike) builds the owned result, which is then sorted in place
+    through a single ndarray view.  Per-column overhead, not the sort,
+    is what a class set with hundreds of small columns pays for.
+    """
+    merged = array("q", b"".join(columns))
+    if len(merged) > 1:
+        np.frombuffer(merged, dtype=np.int64).sort()
+    return merged
 
 
 def compose(left, right, loops_only: bool = False) -> array:
@@ -169,12 +175,17 @@ def compose(left, right, loops_only: bool = False) -> array:
     # the (distinct sources) x (target id range) grid is not much larger
     # than the row count, a presence bitmap + row-major np.nonzero beats
     # np.unique's full sort — nonzero scans in exactly the packed-code
-    # order.  Sparse/wide outputs fall back to the sort.
+    # order.  Sparse/wide outputs fall back to the sort.  The left column
+    # is sorted, so its distinct sources are its run heads: no re-sort.
     width = int(targets.max()) + 1
-    sources, inverse = np.unique(highs, return_inverse=True)
+    heads = np.empty(len(highs), dtype=bool)
+    heads[0] = True
+    np.not_equal(highs[1:], highs[:-1], out=heads[1:])
+    sources = highs[heads]
     if len(sources) * width <= 4 * total + 4096:
+        row_of = np.cumsum(heads) - 1
         grid = np.zeros((len(sources), width), dtype=bool)
-        grid[np.repeat(inverse, counts), targets] = True
+        grid[np.repeat(row_of, counts), targets] = True
         rows, cols = np.nonzero(grid)
         return to_column(sources[rows] | cols)
     out = np.repeat(highs, counts) | targets

@@ -174,16 +174,13 @@ def column_from_set(codes: set[int]) -> array:
     return array("q", sorted(codes))
 
 
-def concat_sorted(columns: list[Column]) -> array:
+def concat_sorted(columns: Iterable[Column]) -> array:
     """Pairwise-disjoint sorted columns → one sorted column.
 
-    Disjointness means no dedup pass is needed: concatenate and re-sort —
-    the C sort exploits the pre-sorted runs.
+    Disjointness means no dedup pass is needed: one ``b"".join`` over the
+    columns' buffers, then one sort.
     """
-    merged = array("q")
-    for column in columns:
-        extend_from(merged, column)
-    return array("q", sorted(merged))
+    return array("q", sorted(array("q", b"".join(columns))))
 
 
 def _scan_codes(pairs) -> set[int] | Column:

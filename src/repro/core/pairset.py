@@ -55,6 +55,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from itertools import repeat
+from operator import attrgetter, is_
 
 from repro.core import kernels
 from repro.core.kernels.pure import extend_from, owned_copy, owned_slice
@@ -62,6 +64,9 @@ from repro.graph.digraph import Pair
 from repro.graph.interner import ID_BITS, ID_MASK, VertexInterner
 
 _EMPTY = array("q")
+
+#: A part's stored column, or None while it is still a lazy code set.
+_raw_column = attrgetter("_codes")
 
 
 class PairSet:
@@ -140,17 +145,24 @@ class PairSet:
     def union_disjoint(
         cls, parts: Iterable["PairSet"], interner: VertexInterner
     ) -> PairSet:
-        """K-way union of pairwise-disjoint frozen sets (``Ic2p`` classes).
+        """K-way union of pairwise-disjoint sets (``Ic2p`` classes).
 
         Disjointness (classes partition the pair universe) means no
-        dedup pass is needed: concatenate the columns and re-sort — the
-        C sort exploits the pre-sorted runs.
+        dedup pass: one concatenation plus one sort per call, however
+        many parts there are.  The columns are gathered at C level (no
+        Python frame per part); if any part is still lazy, the parts'
+        :attr:`codes` materialize them instead.  A single part comes
+        back as itself.
         """
-        columns = [part.codes for part in parts if part]
-        if not columns:
-            return cls.empty(interner)
-        if len(columns) == 1:
-            return cls(columns[0], interner)
+        parts = list(parts)
+        if len(parts) < 2:
+            return parts[0] if parts else cls.empty(interner)
+        columns = list(map(_raw_column, parts))
+        # An identity scan: ``None in columns`` would rich-compare every
+        # mapped memoryview with None, raising and clearing a TypeError
+        # per column.
+        if any(map(is_, columns, repeat(None))):
+            columns = [part.codes for part in parts]
         return cls(kernels.concat_sorted(columns), interner)
 
     # ------------------------------------------------------------------

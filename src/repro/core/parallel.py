@@ -21,8 +21,8 @@ The scheme:
    sequence, with pair codes packed in ``array('q')`` columns — flat
    64-bit buffers that pickle to raw bytes, not object graphs;
 4. the parent merges: shards anchor disjoint source ids, so per-key
-   columns concatenate duplicate-free and one C-level sort over the
-   pre-sorted runs restores the canonical sorted-column form.
+   columns concatenate duplicate-free and one sort restores the
+   canonical sorted-column form.
 
 Merging is deterministic, so a sharded build is **pair-for-pair
 identical** to the serial build — asserted by ``bench-concurrent`` and
@@ -125,11 +125,10 @@ def merge_code_columns(parts: Iterable[array]) -> array:
     """Concatenate disjoint shard columns and sort into one column.
 
     Shards anchor disjoint source ids, so the concatenation is
-    duplicate-free; the single sort (C Timsort over pre-sorted runs, or
-    the numpy backend's vectorized twin) restores the canonical form
+    duplicate-free; one sort restores the canonical form
     :class:`PairSet` stores.
     """
-    return kernels.concat_sorted(list(parts))
+    return kernels.concat_sorted(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.path_index import InterestAwarePathIndex, PathIndex
@@ -43,6 +43,11 @@ _SETTINGS = settings(
 #: Enough ids that packed codes exercise both halves of the word.
 NUM_IDS = 12
 
+#: Ids spread past 2**12: a target this wide makes numpy compose's
+#: (sources x target width) presence grid exceed its budget, so its
+#: np.unique dedup branch runs instead of the bitmap.
+WIDE_IDS = (0, 1, 2, 3, 4097, 6000, 9001)
+
 BACKINGS = ("owned", "lazy", "mapped")
 
 
@@ -62,21 +67,36 @@ def _pairset(codes: set[int], backing: str, interner: VertexInterner) -> PairSet
     return PairSet.from_mapped(memoryview(column), interner)
 
 
-def _codes(draw) -> set[int]:
-    pairs = draw(st.lists(
-        st.tuples(st.integers(0, NUM_IDS - 1), st.integers(0, NUM_IDS - 1)),
-        max_size=40,
-    ))
+def _codes(draw, ids=st.integers(0, NUM_IDS - 1)) -> set[int]:
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40))
     return {(v << 32) | u for v, u in pairs}
 
 
 @st.composite
-def operand_pairs(draw):
+def operand_pairs(draw, ids=st.integers(0, NUM_IDS - 1)):
     """Two code sets plus a backing choice for each."""
     return (
-        _codes(draw), _codes(draw),
+        _codes(draw, ids), _codes(draw, ids),
         draw(st.sampled_from(BACKINGS)), draw(st.sampled_from(BACKINGS)),
     )
+
+
+@st.composite
+def disjoint_parts(draw):
+    """One drawn code set split into 0-5 disjoint parts, each with a backing.
+
+    Parts a split leaves without codes are kept, as empty parts.
+    """
+    codes = sorted(_codes(draw))
+    count = draw(st.integers(0, 5))
+    parts: list[set[int]] = [set() for _ in range(count)]
+    if count:
+        slots = draw(st.lists(
+            st.integers(0, count - 1), min_size=len(codes), max_size=len(codes)
+        ))
+        for code, slot in zip(codes, slots):
+            parts[slot].add(code)
+    return [(part, draw(st.sampled_from(BACKINGS))) for part in parts]
 
 
 def _both_backends(op):
@@ -110,9 +130,8 @@ class TestAlgebraEquivalence:
                     results[backend] = sorted(op(a, b).iter_codes())
             assert results["pure"] == results["numpy"]
 
-    @_SETTINGS
-    @given(operand_pairs(), st.booleans())
-    def test_compose(self, drawn, loops_only):
+    @staticmethod
+    def _check_compose(drawn, loops_only):
         codes_a, codes_b, backing_a, backing_b = drawn
         interner = _interner()
         results = {}
@@ -124,6 +143,16 @@ class TestAlgebraEquivalence:
                     a.compose(b, loops_only=loops_only).iter_codes()
                 )
         assert results["pure"] == results["numpy"]
+
+    @_SETTINGS
+    @given(operand_pairs(), st.booleans())
+    def test_compose(self, drawn, loops_only):
+        self._check_compose(drawn, loops_only)
+
+    @_SETTINGS
+    @given(operand_pairs(st.sampled_from(WIDE_IDS)), st.booleans())
+    def test_compose_sparse_ids(self, drawn, loops_only):
+        self._check_compose(drawn, loops_only)
 
     @_SETTINGS
     @given(operand_pairs())
@@ -141,6 +170,22 @@ class TestAlgebraEquivalence:
                     sorted(PairSet.from_codes(codes_a, interner).iter_codes()),
                 )
         assert rows["pure"] == rows["numpy"]
+
+    @_SETTINGS
+    @given(disjoint_parts())
+    @example([])
+    @example([(set(), "owned"), (set(), "mapped"), ({(1 << 32) | 2}, "lazy")])
+    @example([({(1 << 32) | 2, (3 << 32) | 1}, "mapped")])
+    def test_union_disjoint(self, drawn):
+        interner = _interner()
+        expected = sorted(set().union(*(codes for codes, _ in drawn)))
+        for backend in ("pure", "numpy"):
+            with kernels.use_backend(backend):
+                parts = [_pairset(codes, backing, interner) for codes, backing in drawn]
+                merged = PairSet.union_disjoint(iter(parts), interner)
+                assert list(merged.iter_codes()) == expected
+                if len(parts) == 1:
+                    assert merged is parts[0]
 
     def test_empty_operands(self):
         interner = _interner()

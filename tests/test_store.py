@@ -22,6 +22,7 @@ from repro.graph.interner import VertexInterner
 from repro.graph.io import edges_from_strings
 from repro.graph.schema import citation_schema
 from repro.query.parser import parse
+from repro.query.semantics import evaluate
 from repro.query.workloads import random_template_queries
 from repro.store import (
     MAX_CHAIN,
@@ -69,6 +70,23 @@ class TestRoundTrip:
         for template in ("C2", "S", "Ti"):
             for wq in random_template_queries(graph, template, count=2, seed=23):
                 assert opened.evaluate(wq.query) == index.evaluate(wq.query)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: CPQxIndex.build(g, k=2),
+        lambda g: InterestAwareIndex.build(g, k=2, interests={(1, 2), (2, -1)}),
+    ], ids=["cpqx", "iacpqx"])
+    def test_join_templates_on_mapped_columns_match_semantics(self, tmp_path, build):
+        # Class expansion concatenates memoryview columns here, not arrays.
+        graph = random_graph(30, 90, 3, seed=25)
+        path = tmp_path / "index.rsx"
+        write_store(build(graph), path)
+        opened = open_store(path)
+        assert all(column.is_mapped() for column in opened._ic2p.values())
+        for template in ("C2", "C4", "TC", "SC", "ST", "Ti", "Si"):
+            queries = random_template_queries(graph, template, count=2, seed=26)
+            assert queries, template
+            for wq in queries:
+                assert opened.evaluate(wq.query) == evaluate(wq.query, opened.graph)
 
     def test_file_is_page_aligned(self, tmp_path):
         index = build_index()
