@@ -4,9 +4,9 @@
 The in-process tests cover the daemon's logic; this script covers the
 operational story end to end, the way a supervisor would see it:
 
-1. build an index for the pinned bench graph and save it;
+1. build an index for a pinned random graph and save it;
 2. ``repro serve <index> --port-file ...`` as a *subprocess*;
-3. wait for readiness over HTTP, serve the full micro workload, and
+3. wait for readiness over HTTP, serve the full serving stream, and
    assert every answer equals the serial ``execute_batch`` encoding;
 4. send SIGTERM mid-traffic with requests parked behind a paused
    dispatcher, and assert the daemon answers everything admitted,
@@ -31,10 +31,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.daemon_bench import _expected_answers  # noqa: E402
-from repro.bench.micro import micro_graph, micro_queries  # noqa: E402
 from repro.db import GraphDatabase  # noqa: E402
+from repro.graph.generators import random_graph  # noqa: E402
+from repro.query.workloads import serving_queries  # noqa: E402
 from repro.serve.daemon import DaemonClient  # noqa: E402
+from repro.serve.daemon.batching import encode_answers  # noqa: E402
 
 BOOT_DEADLINE_S = 60.0
 DRAIN_DEADLINE_S = 10.0
@@ -65,11 +66,16 @@ def main() -> int:
     port_file = tmp / "port"
 
     print("building the pinned smoke index ...")
-    graph = micro_graph(120, 800, 3, seed=7)
-    queries = micro_queries(graph, seed=7)
+    graph = random_graph(120, 800, 3, seed=7)
+    queries = serving_queries(graph, seed=7)
     texts = [query.to_text(graph.registry) for query in queries]
     db = GraphDatabase.from_graph(graph).build_index(engine="cpqx", k=2)
-    expected = _expected_answers(db, texts)
+    # Serial ground truth per query text, in the daemon's wire encoding.
+    batch = db.execute_batch(texts)
+    expected = {
+        text: encode_answers(result.pairs(), None)
+        for text, result in zip(texts, batch.results, strict=True)
+    }
     db.save(str(index_path))
     db.close()
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """CI storage gate: save, mmap-open in a fresh process, compare.
 
-Builds the pinned-size benchmark index in this process, saves it in the
-zero-copy columnar store format, then spawns a *fresh* Python process
-that opens the file via ``mmap`` (``repro.store.open_store``) and
-pickles its :func:`repro.core.parallel.index_fingerprint` back.  The
+Builds a CPQx index over a pinned-size random graph in this process,
+saves it in the zero-copy columnar store format, then spawns a *fresh*
+Python process that opens the file via ``mmap``
+(``repro.store.open_store``) and pickles its
+:func:`repro.core.parallel.index_fingerprint` back.  The
 gate passes only if the fresh-process fingerprint equals the in-memory
 build's — byte-identical postings with zero pair deserialization, across
 a process boundary, so no in-process state can mask a broken reader.
@@ -25,9 +26,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.micro import micro_graph
 from repro.core.cpqx import CPQxIndex
 from repro.core.parallel import index_fingerprint
+from repro.graph.generators import random_graph
 from repro.store import write_store
 
 #: Executed in the fresh process: mmap-open the store and pickle its
@@ -54,7 +55,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    graph = micro_graph(args.vertices, args.edges, args.labels, args.seed)
+    graph = random_graph(args.vertices, args.edges, args.labels, seed=args.seed)
     index = CPQxIndex.build(graph, k=args.k)
     expected = index_fingerprint(index)
 

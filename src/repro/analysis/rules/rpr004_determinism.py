@@ -1,10 +1,11 @@
 """RPR004 — deterministic iteration on the build/partition/parallel path.
 
 The sharded == serial build contract (PRs 3/4) is *pair-for-pair
-identity*, asserted via ``index_fingerprint`` and the bench-concurrent
-gate.  That identity survives only because every order that escapes
-into a stored artifact is made explicit: columns are sorted, classes
-are renumbered canonically, shards merge in task order.  Iterating a
+identity*, asserted via ``index_fingerprint`` in
+``tests/test_parallel_build.py``.  That identity survives only because
+every order that escapes into a stored artifact is made explicit:
+columns are sorted, classes are renumbered canonically, shards merge in
+task order.  Iterating a
 ``set`` (hash order — salted per process for strings) and letting that
 order *escape* into a list, a generated sequence, or a first-seen id
 assignment silently breaks the contract.

@@ -1,6 +1,5 @@
 """Benchmark harness: timing, runners, reporting, per-figure experiments."""
 
-from repro.bench.micro import micro_graph, micro_queries, run_micro
 from repro.bench.reporting import ExperimentResult, format_table, speedup
 from repro.bench.runner import (
     ALL_METHODS,
@@ -21,10 +20,7 @@ __all__ = [
     "Timing",
     "build_engine",
     "format_table",
-    "micro_graph",
-    "micro_queries",
     "prepare_dataset",
-    "run_micro",
     "speedup",
     "time_call",
     "time_queries",

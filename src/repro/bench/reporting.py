@@ -11,30 +11,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import os
-import platform
 from dataclasses import dataclass, field
-
-
-def host_metadata() -> dict:
-    """Host facts stamped into every benchmark JSON emitter.
-
-    ``BENCH_*.json`` files travel across machines — committed from dev
-    containers, regenerated by CI runners — and their timings are only
-    comparable (or visibly *not* comparable) with the CPU count, Python
-    version, and platform of the box that produced them recorded
-    alongside.
-    """
-    from repro.core import kernels
-
-    return {
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "kernels": kernels.active_backend(),
-    }
 
 
 @dataclass

@@ -150,72 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="regenerate a paper table/figure")
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
 
-    micro = sub.add_parser(
-        "bench-micro",
-        help="time build + query on a generated graph vs the pre-PR core "
-             "and emit machine-readable JSON",
-    )
-    micro.add_argument("--vertices", type=int, default=250)
-    micro.add_argument("--edges", type=int, default=2000)
-    micro.add_argument("--labels", type=int, default=3)
-    micro.add_argument("--k", type=int, default=2)
-    micro.add_argument("--seed", type=int, default=7)
-    micro.add_argument("--repeats", type=int, default=5)
-    micro.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-    concurrent = sub.add_parser(
-        "bench-concurrent",
-        aliases=["serve-bench"],
-        help="time sharded parallel build + threaded and process-based "
-             "serving vs the serial paths and emit machine-readable JSON",
-    )
-    concurrent.add_argument("--vertices", type=int, default=250)
-    concurrent.add_argument("--edges", type=int, default=2000)
-    concurrent.add_argument("--labels", type=int, default=3)
-    concurrent.add_argument(
-        "--k", type=int, default=3,
-        help="path-length bound (default 3: the regime where both "
-             "sharded CPQx stages — partition and derivation — carry "
-             "real work)",
-    )
-    concurrent.add_argument("--seed", type=int, default=7)
-    concurrent.add_argument("--repeats", type=int, default=3)
-    concurrent.add_argument(
-        "--build-workers", type=_workers_arg, default="auto", metavar="N|auto",
-        help="worker processes for the sharded builds (default: one per CPU)",
-    )
-    concurrent.add_argument(
-        "--serve-threads", type=int, default=8,
-        help="reader threads for the concurrent serving measurement",
-    )
-    concurrent.add_argument(
-        "--serve-procs", type=int, default=None,
-        help="worker processes for the GIL-free serving measurement "
-             "(mode='process'; default: same as --serve-threads)",
-    )
-    concurrent.add_argument(
-        "--chaos", action="store_true",
-        help="also serve the workload under seeded fault injection "
-             "(worker kills, injected errors, dropped replies) and report "
-             "recovery latency, restart and retry counts, plus a chaotic "
-             "sharded build checked fingerprint-identical",
-    )
-    concurrent.add_argument(
-        "--chaos-seed", type=int, default=None,
-        help="override the curated per-scenario fault seeds (one seed "
-             "applied to every --chaos scenario; recovery within the "
-             "restart budget is then not guaranteed)",
-    )
-    concurrent.add_argument(
-        "--daemon", action="store_true",
-        help="bench the serving daemon instead: boot a ServingDaemon and "
-             "drive it over HTTP through normal load, overload shedding, "
-             "chaos, hot swap, and graceful drain (serve-bench --daemon)",
-    )
-    concurrent.add_argument(
-        "--out", default=None, help="write JSON here instead of stdout"
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the resilient serving daemon over a saved index "
@@ -447,22 +381,6 @@ SERIES_VIEWS = {
 }
 
 
-def cmd_bench_micro(args) -> int:
-    from repro.bench.micro import main_bench_micro
-
-    return main_bench_micro(args)
-
-
-def cmd_bench_concurrent(args) -> int:
-    if args.daemon:
-        from repro.bench.daemon_bench import main_bench_daemon
-
-        return main_bench_daemon(args)
-    from repro.bench.concurrent import main_bench_concurrent
-
-    return main_bench_concurrent(args)
-
-
 def cmd_serve(args) -> int:
     """Run the serving daemon until SIGTERM/SIGINT (or POST /shutdown)."""
     import asyncio
@@ -557,9 +475,6 @@ def main(argv: list[str] | None = None) -> int:
         "query": cmd_query,
         "info": cmd_info,
         "experiment": cmd_experiment,
-        "bench-micro": cmd_bench_micro,
-        "bench-concurrent": cmd_bench_concurrent,
-        "serve-bench": cmd_bench_concurrent,
         "serve": cmd_serve,
         "lint": cmd_lint,
     }

@@ -25,8 +25,8 @@ The scheme:
    canonical sorted-column form.
 
 Merging is deterministic, so a sharded build is **pair-for-pair
-identical** to the serial build — asserted by ``bench-concurrent`` and
-property-tested in ``tests/test_parallel_build.py``.  Engines opt in
+identical** to the serial build — property-tested in
+``tests/test_parallel_build.py``.  Engines opt in
 through a ``workers`` build argument (default 1 = serial, ``"auto"`` =
 one worker per CPU), plumbed through
 :meth:`repro.db.GraphDatabase.build_index`, the engine registry, and the

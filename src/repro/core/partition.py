@@ -63,10 +63,8 @@ _Signature = tuple[int, int, frozenset[int]]
 
 #: Minimum level-1 pair count for the sharded parallel refinement.
 #: Below it the per-level worker round-trip (process start, signature
-#: shipping, remap broadcast — ~10 ms on the bench machine) exceeds the
-#: serial per-level cost, so ``workers`` is quietly ignored; the
-#: ``repro bench-concurrent`` graph (~4k level-1 pairs, ~1 s serial
-#: partition at k=3) sits comfortably above the threshold.
+#: shipping, remap broadcast) exceeds the serial per-level cost, so
+#: ``workers`` is quietly ignored.
 PARALLEL_MIN_PAIRS = 2048
 
 

@@ -12,6 +12,9 @@ The paper's procedure, reproduced here:
 * For the empty/non-empty experiment (Fig. 7), :func:`split_by_emptiness`
   classifies generated queries with the reference evaluator.
 
+:func:`serving_queries` is not from the paper: it is the conjunctive
+serving stream the serving and daemon checks replay.
+
 All sampling is driven by an explicit seed for reproducibility.
 """
 
@@ -22,7 +25,16 @@ from dataclasses import dataclass
 
 from repro.graph.digraph import LabeledDigraph
 from repro.graph.labels import LabelSeq
-from repro.query.ast import CPQ, EdgeLabel, label_sequences_in, resolve
+from repro.query.ast import (
+    CPQ,
+    ID,
+    EdgeLabel,
+    conjoin_all,
+    join_all,
+    label,
+    label_sequences_in,
+    resolve,
+)
 from repro.query.semantics import evaluate
 from repro.query.templates import Template, get_template
 
@@ -90,6 +102,76 @@ def random_template_queries(
             continue
         seen.add(key)
         queries.append(WorkloadQuery(spec.name, candidate, chosen))
+    return queries
+
+
+def _nonempty_chain(
+    graph: LabeledDigraph, rng: random.Random, length: int, tries: int = 300
+) -> LabelSeq | None:
+    """Sample a label sequence whose length-2 windows are all non-empty
+    (the paper's workload filter), so chain queries do real join work."""
+    population = _extended_labels(graph)
+    if not population:
+        return None
+    for _ in range(tries):
+        seq = tuple(rng.choice(population) for _ in range(length))
+        if all(
+            graph.sequence_relation(seq[i:i + 2])
+            for i in range(len(seq) - 1)
+        ):
+            return seq
+    return None
+
+
+def serving_queries(graph: LabeledDigraph, seed: int = 7) -> list[CPQ]:
+    """A conjunctive serving stream of ~120 *distinct* CPQs.
+
+    Shaped like production query streams: the paper's template shapes
+    (C2/T/S/C4) plus conjunctions built over a small pool of shared
+    length-3/4 chains — distinct queries with overlapping
+    subexpressions, the redundancy the memoizing executor exploits.
+    Used by the serving tests and ``scripts/daemon_smoke.py``.
+    """
+    rng = random.Random(seed * 31 + 1)
+    queries: list[CPQ] = []
+    for template in ("C2", "T", "S", "C4"):
+        queries.extend(
+            wq.query
+            for wq in random_template_queries(graph, template, count=3, seed=seed)
+        )
+
+    chains: list[LabelSeq] = []
+    for length in (3, 3, 3, 4, 4):
+        seq = _nonempty_chain(graph, rng, length)
+        if seq is not None and seq not in chains:
+            chains.append(seq)
+    suffixes: list[LabelSeq] = []
+    for length in (1, 1, 2, 2, 2):
+        seq = _nonempty_chain(graph, rng, length)
+        if seq is not None and seq not in suffixes:
+            suffixes.append(seq)
+
+    def chain_query(seq: LabelSeq) -> CPQ:
+        return resolve(join_all([label(lab) for lab in seq]), graph.registry)
+
+    seen = set(queries)
+    for seq in chains:
+        base = chain_query(seq)
+        candidates = [conjoin_all([base, ID])]
+        candidates.extend(
+            conjoin_all([base, chain_query(suffix)]) for suffix in suffixes
+        )
+        for other in chains:
+            if other != seq:
+                candidates.append(conjoin_all([base, chain_query(other)]))
+                candidates.extend(
+                    conjoin_all([base, chain_query(other), chain_query(suffix)])
+                    for suffix in suffixes[:3]
+                )
+        for query in candidates:
+            if query not in seen:
+                seen.add(query)
+                queries.append(query)
     return queries
 
 

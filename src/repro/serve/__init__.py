@@ -4,7 +4,7 @@ Public surface of the serving stack: the engine-snapshot protocol and
 supervised worker pool (:mod:`repro.serve.procserve`), the restartable
 worker supervision layer (:mod:`repro.serve.supervisor`), and the
 deterministic fault-injection harness (:mod:`repro.serve.faults`) used
-by the chaos tests and ``repro serve-bench --chaos``.
+by the chaos tests.
 """
 
 from repro.serve.faults import FaultInjected, FaultInjector, current_injector, inject

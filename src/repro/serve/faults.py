@@ -7,7 +7,7 @@ fallback on parallel builds (:mod:`repro.core.parallel`), crash-safe
 persistence (:mod:`repro.core.persistence`) — is dead code unless
 something actually fails.  :class:`FaultInjector` is the something: a
 *seeded, deterministic* source of controlled failures that the chaos
-tests (``tests/test_chaos.py``) and ``repro serve-bench --chaos`` use to
+tests (``tests/test_chaos.py``, ``tests/test_daemon.py``) use to
 kill workers, delay or drop replies, fail shards, and interrupt saves at
 reproducible points, making every recovery path exercisable in CI.
 

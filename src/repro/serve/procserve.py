@@ -15,7 +15,7 @@ This module is that fan-out:
   (PR 8) ships only a **(path, token) pair**: the session writes the
   engine as a zero-copy store generation (:mod:`repro.store`) and each
   worker ``mmap``-opens it — per-worker shipped bytes collapse from the
-  engine pickle (~14.3 MB in BENCH_PR5) to the length of a path string,
+  engine pickle to the length of a path string,
   and the mapped pages are shared across workers instead of unpickled N
   times.  The fallback path ships an **engine snapshot** — the engine
   pickled *minus* its lock-bearing memo caches
@@ -60,7 +60,7 @@ This module is that fan-out:
 Chaos testing hooks: :meth:`ProcessServingPool.serve` accepts a
 :class:`~repro.serve.faults.FaultInjector`, shipped to workers inside
 the snapshot message, which kills/delays/drops at controlled seeded
-rates (``tests/test_chaos.py``, ``repro serve-bench --chaos``).
+rates (``tests/test_chaos.py``, ``tests/test_daemon.py``).
 
 See ``docs/concurrency.md`` for the protocol diagram and
 ``docs/robustness.md`` for the failure-domain table and degradation

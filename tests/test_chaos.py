@@ -13,7 +13,7 @@ and asserts the two invariants ``docs/robustness.md`` promises:
 Fault decisions are pure functions of ``(seed, site, consultation
 index)`` — see :mod:`repro.serve.faults` — so each scenario is picked by
 seed to exercise a specific recovery path and repeats identically in CI
-(the ``chaos`` job runs this file plus ``serve-bench --chaos``).
+(the ``chaos`` job runs this file).
 """
 
 from __future__ import annotations

@@ -205,14 +205,3 @@ class TestServeCommand:
         assert not thread.is_alive()
         assert codes == [0]
         assert "serving" in capsys.readouterr().out
-
-    def test_serve_bench_daemon_flag_routes(self, monkeypatch):
-        """``serve-bench --daemon`` dispatches to the daemon bench."""
-        calls = []
-        import repro.bench.daemon_bench as daemon_bench
-
-        monkeypatch.setattr(
-            daemon_bench, "main_bench_daemon", lambda args: calls.append(args) or 0
-        )
-        assert main(["serve-bench", "--daemon"]) == 0
-        assert len(calls) == 1 and calls[0].daemon is True

@@ -7,12 +7,12 @@ Two layers of tests:
   admission, shedding, expiry, and drain ordering deterministic;
 * **over HTTP** — a daemon on a background thread behind the real TCP
   front, driven through :class:`repro.serve.daemon.DaemonClient` exactly
-  as the bench and the CI smoke script drive it.
+  as the CI smoke script and the end-to-end benchmark drive it.
 
 The recurring invariant is the repository's serving contract: every
 answer the daemon returns is byte-identical to the serial
 ``execute_batch`` encoding, no matter what the admission queue, the
-breaker, or a mid-flight hot swap did around it.
+breaker, injected worker kills, or a mid-flight hot swap did around it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.bench.daemon_bench import DaemonHarness
 from repro.db import GraphDatabase
 from repro.graph.generators import random_graph
+from repro.query.workloads import serving_queries
+from repro.serve import FaultInjector, inject
 from repro.serve.daemon import (
     AdmissionQueue,
     CircuitBreaker,
@@ -71,6 +72,49 @@ def expected_answers(database, texts):
     }
 
 
+def missing_edge(graph):
+    """A deterministic edge not yet present (the hot-swap update)."""
+    name = next(iter(graph.registry))
+    label = graph.registry.id_of(name)
+    vertices = sorted(graph.vertices(), key=repr)
+    for v in vertices:
+        for u in vertices:
+            if not graph.has_edge(v, u, label):
+                return (v, u, name)
+    raise AssertionError("graph is complete; cannot probe an update")
+
+
+class DaemonHarness:
+    """One daemon on a background event-loop thread, as in production,
+    reached only through :class:`DaemonClient` over real TCP."""
+
+    def __init__(self, db, config):
+        self.daemon = ServingDaemon(db, config)
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self.daemon.run()),
+            name="repro-daemon",
+            daemon=True,
+        )
+
+    def start(self, boot_deadline=30.0):
+        self._thread.start()
+        deadline = time.monotonic() + boot_deadline
+        while self.daemon.port is None:
+            assert self._thread.is_alive() and time.monotonic() < deadline, (
+                "daemon failed to bind within the boot deadline"
+            )
+            time.sleep(0.01)
+        client = DaemonClient("127.0.0.1", self.daemon.port)
+        assert client.wait_ready(boot_deadline), "daemon did not become ready"
+        return client
+
+    def stop(self, client, join_deadline=30.0):
+        if self._thread.is_alive():
+            client.shutdown()
+        self._thread.join(join_deadline)
+        assert not self._thread.is_alive(), "daemon did not exit within the drain deadline"
+
+
 def run_with_daemon(db, config, scenario):
     """Run ``await scenario(daemon)`` against a started in-loop daemon."""
 
@@ -88,7 +132,7 @@ def run_with_daemon(db, config, scenario):
 
 
 async def park_dispatcher(daemon):
-    """Pause dispatch deterministically (see the bench's flush trick).
+    """Pause dispatch deterministically with one flush request.
 
     An idle batch loop is blocked inside ``queue.get()`` — already past
     the gate — so the first request after clearing the gate is still
@@ -434,9 +478,7 @@ class TestHotSwap:
         reference = GraphDatabase.from_graph(daemon_graph.copy()).build_index(
             engine="cpqx", k=2
         )
-        from repro.bench.daemon_bench import _missing_edge
-
-        edge = _missing_edge(daemon_graph)
+        edge = missing_edge(daemon_graph)
         reference.update(add_edges=[edge])
         expected_new = expected_answers(reference, texts)
         reference.close()
@@ -465,9 +507,7 @@ class TestHotSwap:
         reference = GraphDatabase.from_graph(daemon_graph.copy()).build_index(
             engine="cpqx", k=2
         )
-        from repro.bench.daemon_bench import _missing_edge
-
-        edge = _missing_edge(daemon_graph)
+        edge = missing_edge(daemon_graph)
         reference.update(add_edges=[edge])
         expected_new = expected_answers(reference, texts)
         reference.close()
@@ -493,9 +533,7 @@ class TestHotSwap:
         other = GraphDatabase.from_graph(daemon_graph.copy()).build_index(
             engine="cpqx", k=2
         )
-        from repro.bench.daemon_bench import _missing_edge
-
-        other.update(add_edges=[_missing_edge(daemon_graph)])
+        other.update(add_edges=[missing_edge(daemon_graph)])
         expected_new = expected_answers(other, texts)
         saved = tmp_path / "swapped.idx"
         other.save(str(saved))
@@ -525,7 +563,7 @@ class TestHotSwap:
 
 
 # ---------------------------------------------------------------------------
-# over HTTP: the real TCP front, as the bench and smoke script drive it
+# over HTTP: the real TCP front, as the smoke script drives it
 # ---------------------------------------------------------------------------
 class TestDaemonOverHTTP:
     def test_lifecycle_probes_query_stats_and_drain(self, db):
@@ -683,6 +721,52 @@ class TestDaemonOverHTTP:
             assert time.monotonic() - started < 3.0
             assert idle.recv(65536) == b""  # the daemon hung up on us
         assert harness.daemon.drained_clean is True
+
+
+class TestDaemonChaos:
+    def test_worker_kills_leave_answers_identical_and_breaker_closed(
+        self, db, daemon_graph
+    ):
+        texts = [
+            query.to_text(daemon_graph.registry)
+            for query in serving_queries(daemon_graph, seed=7)[:24]
+        ]
+        assert len(texts) == 24
+        expected = expected_answers(db, texts)
+        config = DaemonConfig(
+            mode="process",
+            workers=2,
+            breaker_threshold=1,  # one failed batch opens the breaker
+            breaker_cooldown=0.75,
+            default_deadline=30.0,
+        )
+        harness = DaemonHarness(db, config)
+        client = harness.start()
+        try:
+            for text in texts[:4]:  # spawn the pool before faults start
+                assert client.query(text)[0] == 200
+            injector = FaultInjector(seed=37, rates={"worker.kill": 0.3})
+            with inject(injector):
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    rows = list(pool.map(lambda text: (text, client.query(text)), texts))
+                assert client.healthz()[0] == 200
+            for text, (status, payload) in rows:
+                if status == 200:
+                    assert payload["answers"] == expected[text]
+            failures = sum(status != 200 for _, (status, _) in rows)
+            assert failures <= len(texts) // 2  # the injector's default budget
+            assert client.stats()["pool"]["restarts_used"] >= 1  # kills fired
+            # The breaker only moves on batches: drive probe traffic until
+            # a tripped breaker has gone half-open and closed again.
+            deadline = time.monotonic() + 20.0
+            probes = 0
+            while client.stats()["breaker"]["state"] != "closed":
+                assert time.monotonic() < deadline, "breaker never re-closed"
+                client.query(texts[probes % len(texts)])
+                probes += 1
+                time.sleep(0.05)
+        finally:
+            harness.stop(client)
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,10 @@ class TestShardedEqualsSerial:
         assert index_fingerprint(serial) == index_fingerprint(sharded)
 
     def test_answers_match_on_query_stream(self):
-        from repro.bench.micro import micro_queries
+        from repro.query.workloads import serving_queries
 
         graph = random_graph(60, 360, 3, seed=5)
-        queries = micro_queries(graph, seed=5)[:25]
+        queries = serving_queries(graph, seed=5)[:25]
         serial = CPQxIndex.build(graph, k=2)
         sharded = CPQxIndex.build(graph, k=2, workers=2)
         for query in queries:

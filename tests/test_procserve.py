@@ -611,34 +611,6 @@ class TestModePlumbing:
 
 
 # ---------------------------------------------------------------------------
-# bench + CLI plumbing
-# ---------------------------------------------------------------------------
-
-
-class TestServeBenchCli:
-    def test_serve_bench_alias_emits_process_serving_section(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        code = main([
-            "serve-bench", "--vertices", "30", "--edges", "100",
-            "--labels", "3", "--k", "2", "--repeats", "1",
-            "--build-workers", "1", "--serve-threads", "2",
-            "--serve-procs", "2", "--out", str(out),
-        ])
-        assert code == 0
-        document = json.loads(out.read_text())
-        process = document["process_serving"]
-        assert process["identical_answers"] is True
-        assert process["workers"] == 2
-        assert process["snapshot_mb"] > 0
-        assert {row["workers"] for row in process["scaling"]} == {1, 2}
-        assert "serve (process):" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
 # ResultSet.from_answers
 # ---------------------------------------------------------------------------
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cpqx import CPQxIndex
+from repro.db import GraphDatabase
 from repro.graph.generators import random_graph
 from repro.query.ast import label_sequences_in
 from repro.query.semantics import evaluate
 from repro.query.workloads import (
     mixed_emptiness_workload,
     random_template_queries,
+    serving_queries,
     split_by_emptiness,
     subpaths_nonempty,
     workload_interests,
@@ -110,3 +113,25 @@ class TestEmptinessSplit:
             non_empty, empty = split_by_emptiness(workload, g)
             # achieved mix should be within one query of the target
             assert abs(len(empty) - 3) <= 3
+
+
+class TestServingQueries:
+    @pytest.fixture()
+    def stream(self):
+        graph = random_graph(40, 150, 3, seed=3)
+        return graph, serving_queries(graph, seed=3)
+
+    def test_stream_is_distinct_and_deterministic(self, stream):
+        graph, queries = stream
+        assert len(queries) > 50
+        assert len(set(queries)) == len(queries)
+        assert serving_queries(graph, seed=3) == queries
+
+    def test_cpqx_and_session_match_the_reference_semantics(self, stream):
+        graph, queries = stream
+        expected = [evaluate(query, graph) for query in queries]
+        engine = CPQxIndex.build(graph, k=2)
+        assert [engine.evaluate(query) for query in queries] == expected
+        db = GraphDatabase.from_graph(graph).build_index(engine="cpqx", k=2)
+        batch = db.execute_batch(queries)
+        assert [result.pairs() for result in batch.results] == expected
