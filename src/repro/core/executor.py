@@ -15,10 +15,12 @@ the per-operator logic mirrors Algorithm 4:
 Pair-level intermediates are columnar
 (:class:`repro.core.pairset.PairSet`): conjunctions merge sorted code
 columns, JOIN runs the sort-merge composition, and the IDENTITY filter
-scans codes — original vertex tuples only reappear when the plan root
-materializes.  Engines that still produce plain tuple sets (the BFS /
-TurboHom / Tentris baselines) keep working: every operator falls back to
-the seed's set-of-tuples algorithms when an operand is not columnar.
+scans codes.  The plan root returns its column as well (late
+materialization): ``len`` and membership read codes, and original vertex
+tuples are decoded only for a consumer that iterates.  Engines that
+still produce plain tuple sets (the BFS / TurboHom / Tentris baselines)
+keep working: every operator falls back to the seed's set-of-tuples
+algorithms when an operand is not columnar.
 
 Two memoization layers sit on top:
 
@@ -42,11 +44,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.core.cache import LRUCache
+from repro.core.kernels.pure import owned_slice
 from repro.core.pairset import PairSet
 from repro.errors import QuerySyntaxError
 from repro.graph.digraph import LabeledDigraph, Pair
@@ -129,7 +132,7 @@ class LookupProvider(Protocol):
     def lookup(self, seq: LabelSeq) -> Result:
         """Result of a label-sequence LOOKUP (classes or pairs)."""
 
-    def expand_classes(self, classes: frozenset[int]) -> frozenset[Pair] | PairSet:
+    def expand_classes(self, classes: frozenset[int]) -> PairSet:
         """Union of ``Ic2p(c)`` over ``classes`` (pair engines never call this)."""
 
     def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:
@@ -147,8 +150,12 @@ def execute_plan(
     stats: ExecutionStats | None = None,
     limit: int | None = None,
     memo: Memo | None = None,
-) -> frozenset[Pair]:
+) -> Set[Pair]:
     """Run Algorithm 3: evaluate ``plan`` and materialize the root result.
+
+    The answer is the root's pair set as produced: a columnar
+    :class:`PairSet` on columnar engines (decoded only when iterated),
+    a frozenset of tuples on the others.
 
     ``limit`` enables first-answer mode (Fig. 7): root materialization
     stops after ``limit`` pairs, which skips expanding the remaining
@@ -164,12 +171,7 @@ def execute_plan(
     if memo is None:
         memo = {}
     result = _execute(plan, provider, stats, memo)
-    pairs = _materialize(result, provider, stats, limit)
-    if isinstance(pairs, PairSet):
-        if limit is not None and len(pairs) > limit:
-            return frozenset(pairs.first_pairs(limit))
-        return pairs.to_set()
-    return pairs
+    return _materialize(result, provider, stats, limit)
 
 
 #: Shared zero-delta for unprofiled per-evaluation memo entries (never
@@ -289,28 +291,40 @@ def _materialize(
     """Turn a result into explicit pairs (root of Algorithm 3).
 
     Returns a columnar :class:`PairSet` whenever the producing engine is
-    columnar; :func:`execute_plan` decodes at the plan root.
+    columnar, truncated to its ``limit`` smallest codes in first-answer
+    mode.  A class result under ``limit`` takes whole classes in
+    ascending class-id order, each in code order, until ``limit`` codes
+    are gathered.
     """
     if result.pairs is not None:
         pairs = result.pairs
-        if limit is not None and len(pairs) > limit:
-            if isinstance(pairs, PairSet):
-                return frozenset(pairs.first_pairs(limit))
-            return frozenset(list(pairs)[:limit])
-        return pairs
+        if limit is None or len(pairs) <= limit:
+            return pairs
+        if isinstance(pairs, PairSet):
+            return _head(pairs, limit)
+        return frozenset(list(pairs)[:limit])
     assert result.classes is not None
     if limit is None:
         expanded = provider.expand_classes(result.classes)
         if stats is not None:
             stats.pairs_touched += len(expanded)
         return expanded
-    collected: list[Pair] = []
+    parts: list[PairSet] = []
+    remaining = limit
     for class_id in sorted(result.classes):
-        for pair in provider.expand_classes(frozenset((class_id,))):
-            collected.append(pair)
-            if len(collected) >= limit:
-                return frozenset(collected)
-    return frozenset(collected)
+        if remaining <= 0:
+            break
+        part = _head(provider.expand_classes(frozenset((class_id,))), remaining)
+        parts.append(part)
+        remaining -= len(part)
+    return PairSet.union_disjoint(parts, provider.graph.interner)
+
+
+def _head(pairs: PairSet, limit: int) -> PairSet:
+    """The ``limit`` smallest codes of ``pairs``, still a column."""
+    if len(pairs) <= limit:
+        return pairs
+    return PairSet.from_sorted_codes(owned_slice(pairs.codes, 0, limit), pairs.interner)
 
 
 def _compose(
@@ -458,7 +472,7 @@ class EngineBase:
 
     def _evaluate_cached(
         self, query: CPQ, stats: ExecutionStats | None, limit: int | None
-    ) -> frozenset[Pair]:
+    ) -> Set[Pair]:
         if not self._caching_enabled():
             return execute_plan(self.plan(query), self, stats=stats, limit=limit)
         if not is_resolved(query):
@@ -494,8 +508,12 @@ class EngineBase:
         limit: int | None = None,
         source_filter=None,
         target_filter=None,
-    ) -> frozenset[Pair]:
+    ) -> Set[Pair]:
         """Evaluate a CPQ, returning its s-t pair answer set.
+
+        Columnar engines return (and memoize) the plan root's
+        :class:`PairSet`, whose tuples are decoded only when iterated;
+        filtered answers are a frozenset of tuples.
 
         ``source_filter`` / ``target_filter`` are optional predicates on
         the vertex's local-data dict (Sec. VII's extension: "study
@@ -595,7 +613,7 @@ class EngineBase:
     def lookup(self, seq: LabelSeq) -> Result:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def expand_classes(self, classes: frozenset[int]) -> frozenset[Pair]:
+    def expand_classes(self, classes: frozenset[int]) -> PairSet:
         raise QuerySyntaxError(f"{self.name} is not a class-based engine")
 
     def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:

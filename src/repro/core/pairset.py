@@ -25,11 +25,15 @@ state.  It beats the seed executor's per-call dict-of-vertex-lists
 rebuild: grouping keys are single machine-width ints, never tuples of
 objects, and the output stays a lazy code set.
 
-Iteration decodes to original ``(v, u)`` vertex pairs through the
-interner's reverse lookup, so a ``PairSet`` can stand in for the old
-``frozenset[Pair]`` anywhere (equality and the binary set operators
-accept plain sets of vertex tuples too).  The old set-of-tuples API is
-one :meth:`to_set` call away for consumers that do not migrate.
+A ``PairSet`` is an immutable :class:`collections.abc.Set` of original
+``(v, u)`` vertex pairs, and it is what a columnar plan root returns:
+``len``, truthiness and membership read codes, and only iteration
+decodes, through the interner's reverse lookup.  Equality, the
+comparisons (``<=``, ``<``, ``>=``, ``>``, :meth:`isdisjoint`) and the
+binary set operators accept any ``Set`` of vertex tuples in either
+operand order; two ``PairSet`` operands over one interner stay in code
+space, mixed operands decode.  The seed's set-of-tuples form is one
+explicit :meth:`to_set` call away.
 
 A third backing joined in PR 8: a frozen column may be a read-only
 ``memoryview`` cast to ``'q'`` over an ``mmap``-ed store file
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Set
 from itertools import repeat
 from operator import attrgetter, is_
 
@@ -69,7 +73,12 @@ _EMPTY = array("q")
 _raw_column = attrgetter("_codes")
 
 
-class PairSet:
+def _decoded(other: Set) -> frozenset[Pair]:
+    """A set operand as vertex tuples (a frozenset comes back as itself)."""
+    return other.to_set() if isinstance(other, PairSet) else frozenset(other)
+
+
+class PairSet(Set):
     """An immutable set of packed ``(v_id, u_id)`` pair codes.
 
     Physically either a frozen sorted column, a lazy code set, or (after
@@ -254,25 +263,41 @@ class PairSet:
             for code in self._any_codes()
         )
 
-    def first_pairs(self, limit: int) -> list[Pair]:
-        """The ``limit`` smallest-coded pairs, decoded (deterministic)."""
-        vertices = self._interner._vertices
-        return [
-            (vertices[code >> ID_BITS], vertices[code & ID_MASK])
-            for code in self.codes[:limit]
-        ]
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PairSet):
-            if self._interner is other._interner:
-                return self.code_set() == other.code_set()
-            return self.to_set() == other.to_set()
-        if isinstance(other, (set, frozenset)):
-            return self.to_set() == other
-        return NotImplemented
+        if self._coerce(other) is None and isinstance(other, (set, frozenset, PairSet)):
+            # A plain set or a foreign-interner column: one decode.
+            return len(self) == len(other) and self.to_set() == _decoded(other)
+        # ``Set.__eq__`` is ``len`` plus ``__le__``: code space for a peer.
+        return Set.__eq__(self, other)
 
     def __hash__(self) -> int:
         return hash(self.to_set())
+
+    # ------------------------------------------------------------------
+    # comparisons — ``<`` / ``>`` are the ``Set`` mixins over these two
+    # ------------------------------------------------------------------
+    def __le__(self, other: object) -> bool:
+        peer = self._coerce(other)
+        if peer is None:
+            return Set.__le__(self, other)
+        return len(self) <= len(peer) and not (self - peer)
+
+    def __ge__(self, other: object) -> bool:
+        peer = self._coerce(other)
+        if peer is None:
+            return Set.__ge__(self, other)
+        return len(self) >= len(peer) and not (peer - self)
+
+    def isdisjoint(self, other: Iterable) -> bool:
+        peer = self._coerce(other)
+        if peer is None:
+            return Set.isdisjoint(self, other)
+        return not (self & peer)
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[Pair]) -> frozenset[Pair]:
+        """What the ``Set`` mixins (``^``) build from decoded pairs."""
+        return frozenset(pairs)
 
     # ------------------------------------------------------------------
     # set algebra — merge-based on frozen columns, hash-based when an
@@ -296,10 +321,8 @@ class PairSet:
             return PairSet.from_code_set(
                 self.code_set() & peer.code_set(), self._interner
             )
-        if isinstance(other, (set, frozenset, PairSet)):
-            return self.to_set() & (
-                other.to_set() if isinstance(other, PairSet) else frozenset(other)
-            )
+        if isinstance(other, Set):
+            return self.to_set() & _decoded(other)
         return NotImplemented
 
     __rand__ = __and__
@@ -314,10 +337,8 @@ class PairSet:
             return PairSet.from_code_set(
                 self.code_set() | peer.code_set(), self._interner
             )
-        if isinstance(other, (set, frozenset, PairSet)):
-            return self.to_set() | (
-                other.to_set() if isinstance(other, PairSet) else frozenset(other)
-            )
+        if isinstance(other, Set):
+            return self.to_set() | _decoded(other)
         return NotImplemented
 
     __ror__ = __or__
@@ -332,15 +353,13 @@ class PairSet:
             return PairSet.from_code_set(
                 self.code_set() - peer.code_set(), self._interner
             )
-        if isinstance(other, (set, frozenset, PairSet)):
-            return self.to_set() - (
-                other.to_set() if isinstance(other, PairSet) else frozenset(other)
-            )
+        if isinstance(other, Set):
+            return self.to_set() - _decoded(other)
         return NotImplemented
 
     def __rsub__(self, other: object) -> frozenset[Pair]:
-        if isinstance(other, (set, frozenset)):
-            return frozenset(other) - self.to_set()
+        if isinstance(other, Set):
+            return _decoded(other) - self.to_set()
         return NotImplemented
 
     def intersection(self, other: PairSet) -> PairSet:

@@ -7,6 +7,14 @@ engine only when answers are demanded (iteration, ``len``, membership,
 result sets for a whole workload, pass them around, and pay only for the
 ones actually consumed.
 
+Evaluating is not decoding.  On the columnar engines (CPQx, iaCPQx,
+Path) the answers are kept as the plan root's
+:class:`~repro.core.pairset.PairSet` column: ``len``, :meth:`count`,
+:meth:`is_empty` and membership read packed codes, and ``(v, u)``
+tuples are decoded only by consumers that iterate — iteration,
+:meth:`to_list`, the vertex-data filters, :meth:`sources` /
+:meth:`targets`.
+
 Two consumers get extra laziness:
 
 * :meth:`count` — for conjunction-only queries on class-based engines
@@ -23,9 +31,10 @@ Two consumers get extra laziness:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Set
 
 from repro.core.executor import ExecutionStats
+from repro.core.pairset import PairSet
 from repro.graph.digraph import Pair
 from repro.query.ast import CPQ
 
@@ -48,7 +57,7 @@ class ResultSet:
         self._limit = limit
         self._source_filter = source_filter
         self._target_filter = target_filter
-        self._pairs: frozenset[Pair] | None = None
+        self._pairs: Set[Pair] | None = None
         self._error: Exception | None = None
         #: Operator counters of the evaluation (filled on materialization).
         self.stats = ExecutionStats()
@@ -130,7 +139,7 @@ class ResultSet:
         self.stats.pair_conjunctions = run.pair_conjunctions
         self.stats.joins = run.joins
 
-    def _materialize(self) -> frozenset[Pair]:
+    def _materialize(self) -> Set[Pair]:
         if self._error is not None:
             raise self._error
         if self._pairs is None:
@@ -157,18 +166,22 @@ class ResultSet:
                     kept = kept[: self._limit]
                 answers = kept
             self._record(run)
-            self._pairs = frozenset(answers)
+            self._pairs = answers if isinstance(answers, PairSet) else frozenset(answers)
         return self._pairs
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
-    def pairs(self) -> frozenset[Pair]:
-        """The full answer set (materializes)."""
+    def pairs(self) -> Set[Pair]:
+        """The full answer set (evaluates): an immutable ``Set`` of pairs.
+
+        On columnar engines this is the answer column itself — ``len`` and
+        membership read codes, and pairs are decoded on iteration.
+        """
         return self._materialize()
 
     def to_list(self) -> list[Pair]:
-        """Deterministically ordered answer list (materializes)."""
+        """Deterministically ordered answer list (decodes every pair)."""
         return sorted(self._materialize(), key=repr)
 
     def sources(self) -> frozenset:
@@ -191,7 +204,7 @@ class ResultSet:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ResultSet):
             return self.pairs() == other.pairs()
-        if isinstance(other, (set, frozenset)):
+        if isinstance(other, Set):
             return self.pairs() == other
         return NotImplemented
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Set
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.graph.digraph import LabeledDigraph
 from repro.graph.interner import VertexInterner, pack_pair, unpack_pair
 from repro.core.pairset import PairSet
@@ -132,6 +135,111 @@ class TestSetAlgebraProperties:
         assert (ps == b) == (a == b)
         # mixed operator falls back to decoded frozensets
         assert ps & frozenset(b) == a & b
+
+
+BACKINGS = ("owned", "lazy", "mapped")
+
+
+def backed(pair_set: set, backing: str, interner: VertexInterner) -> PairSet:
+    """``pair_set`` as a PairSet with the given physical backing."""
+    owned = encode(pair_set, interner)
+    if backing == "lazy":
+        return PairSet.from_code_set(set(owned.iter_codes()), interner)
+    if backing == "mapped":
+        return PairSet.from_mapped(memoryview(owned.codes), interner)
+    return owned
+
+
+@st.composite
+def related_pair_sets(draw):
+    """Two pair sets that are often equal, nested or disjoint."""
+    a = draw(pair_sets)
+    shape = draw(st.sampled_from(("independent", "subset", "superset", "equal")))
+    if shape == "equal":
+        return a, set(a)
+    if shape == "independent":
+        return a, draw(pair_sets)
+    part = {pair for pair in a if draw(st.booleans())}
+    return (a, part) if shape == "subset" else (part, a)
+
+
+COMPARISONS = (
+    ("<=", lambda x, y: x <= y),
+    ("<", lambda x, y: x < y),
+    (">=", lambda x, y: x >= y),
+    (">", lambda x, y: x > y),
+    ("==", lambda x, y: x == y),
+    ("!=", lambda x, y: x != y),
+    ("isdisjoint", lambda x, y: x.isdisjoint(y)),
+)
+ALGEBRA = (
+    ("&", lambda x, y: x & y),
+    ("|", lambda x, y: x | y),
+    ("-", lambda x, y: x - y),
+    ("^", lambda x, y: x ^ y),
+)
+
+
+class TestSetProtocol:
+    """PairSet is a ``collections.abc.Set`` with frozenset semantics."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        operands=related_pair_sets(),
+        backing_a=st.sampled_from(BACKINGS),
+        backing_b=st.sampled_from(BACKINGS),
+    )
+    def test_operators_match_frozenset(self, operands, backing_a, backing_b):
+        a, b = (frozenset(operand) for operand in operands)
+        interner = make_interner()
+        # Same vertices, different ids: the decoded cross-interner path.
+        foreign = VertexInterner(reversed(range(31)))
+        for backend in kernels.available_backends():
+            with kernels.use_backend(backend):
+                pa = backed(a, backing_a, interner)
+                pb = backed(b, backing_b, interner)
+                mixes = {
+                    "same interner": (pa, pb),
+                    "other interner": (pa, backed(b, backing_b, foreign)),
+                    "PairSet op frozenset": (pa, b),
+                    "frozenset op PairSet": (a, pb),
+                }
+                for mix, (left, right) in mixes.items():
+                    for name, op in COMPARISONS:
+                        assert op(left, right) == op(a, b), (backend, mix, name)
+                    for name, op in ALGEBRA:
+                        assert set(op(left, right)) == op(a, b), (backend, mix, name)
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("backing_b", BACKINGS)
+    @pytest.mark.parametrize("backing_a", BACKINGS)
+    def test_same_interner_comparisons_never_decode(
+        self, monkeypatch, backend, backing_a, backing_b
+    ):
+        interner = make_interner()
+        small = {(1, 2), (3, 3)}
+        with kernels.use_backend(backend):
+            pa = backed(small, backing_a, interner)
+            pb = backed(small | {(4, 5)}, backing_b, interner)
+
+            def refuse(*_args):
+                raise AssertionError("decoded")
+
+            monkeypatch.setattr(PairSet, "to_set", refuse)
+            monkeypatch.setattr(PairSet, "__iter__", refuse)
+            assert pa <= pb and pa < pb and pb >= pa and pb > pa
+            assert not pb <= pa and pa != pb
+            assert pa == backed(small, backing_b, interner)
+            assert not pa.isdisjoint(pb)
+            assert (pa ^ pb) == backed({(4, 5)}, "owned", interner)
+
+    def test_is_a_set_and_hashes_like_frozenset(self):
+        interner = make_interner()
+        ps = encode({(1, 2), (2, 1)}, interner)
+        assert isinstance(ps, Set)
+        assert hash(ps) == hash(frozenset({(1, 2), (2, 1)}))
+        assert ps == {(1, 2), (2, 1)} and {(1, 2), (2, 1)} == ps
+        assert ps != {(1, 2)} and ps != [(1, 2), (2, 1)]
 
 
 class TestGallopingPaths:
