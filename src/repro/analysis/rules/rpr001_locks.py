@@ -2,8 +2,9 @@
 
 Two invariants from the PR-2/PR-3 concurrency work:
 
-* the token-guarded memo LRUs (``_memo_results`` / ``_memo_subplans``)
-  and their attach helper ``_token_cache`` are owned by
+* the memo LRUs (the token-guarded ``_memo_results`` /
+  ``_memo_subplans`` and the tokenless ``_memo_statements``) and their
+  attach helper ``_token_cache`` are owned by
   ``EngineBase``'s sanctioned accessors in ``core/executor.py``.  Any
   other module touching them bypasses the copy-on-write replacement
   that runs under ``_CACHE_ATTACH_LOCK`` — a reader could then observe
@@ -24,7 +25,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.rules.base import Rule
 
 #: The memo attributes owned by EngineBase's accessors.
-MEMO_ATTRS = frozenset({"_memo_results", "_memo_subplans"})
+MEMO_ATTRS = frozenset({"_memo_results", "_memo_subplans", "_memo_statements"})
 
 #: Session attributes that must only be assigned in the write path.
 SESSION_ATTRS = frozenset({"_engine", "_spec", "_build_args", "_engine_gen"})
@@ -62,8 +63,8 @@ class LockDisciplineRule(Rule):
                         module,
                         node,
                         f"memo cache {node.attr!r} accessed outside EngineBase's "
-                        f"token-guarded accessors in core/executor.py; use "
-                        f"_result_cache()/_subplan_cache() (or snapshot via "
+                        f"accessors in core/executor.py; use _result_cache()/"
+                        f"_subplan_cache()/statement_cache() (or snapshot via "
                         f"__getstate__), never the attribute",
                     )
                 )

@@ -22,8 +22,15 @@ still produce plain tuple sets (the BFS / TurboHom / Tentris baselines)
 keep working: every operator falls back to the seed's set-of-tuples
 algorithms when an operand is not columnar.
 
-Two memoization layers sit on top:
+Three memoization layers sit on top:
 
+* **statement memo** — :class:`EngineBase` maps query *text* to its
+  resolved CPQ in a bounded LRU, so a repeated text skips the parser
+  (:meth:`repro.db.GraphDatabase.query` consults it).  It needs no
+  freshness token: label ids are append-only, so a text that resolved
+  once resolves the same way after any update.  It lives and dies with
+  its engine object (build, rebuild, ``open`` and ``reload`` start a
+  fresh one) and is off, like the LRUs below, with caching off;
 * **per-evaluation subplan memo** — :func:`execute_plan` caches each
   plan node's result within one evaluation, so a repeated subexpression
   in a conjunctive query (plan nodes are frozen dataclasses comparing
@@ -381,6 +388,13 @@ class EngineBase:
     result_cache_capacity: int = 256
     #: Bound on memoized subplan results shared across queries.
     subplan_cache_capacity: int = 1024
+    #: Bound on memoized query texts (≈390 B per short entry).  Kept distinct
+    #: from the two capacities above: benchmarks/e2e/trace.py tells the
+    #: LRUs' hits and misses apart by capacity.
+    statement_cache_capacity: int = 1000
+    #: Longer query texts are parsed every time, never memoized, so the
+    #: memo's footprint stays bounded by entry count times this length.
+    statement_text_limit: int = 4096
 
     def splitter(self) -> Splitter:
         """The sequence splitter used when planning queries."""
@@ -402,6 +416,7 @@ class EngineBase:
         state = self.__dict__.copy()
         state.pop("_memo_results", None)
         state.pop("_memo_subplans", None)
+        state.pop("_memo_statements", None)
         return state
 
     def plan(self, query: CPQ) -> PlanNode:
@@ -419,17 +434,17 @@ class EngineBase:
             getattr(self, "_cache_epoch", 0),
         )
 
-    def _token_cache(self, attr: str, capacity: int) -> LRUCache:
-        """The named LRU for this engine, rebuilt whenever the token moved.
+    def _token_cache(self, attr: str, capacity: int, token: object) -> LRUCache:
+        """The named LRU for this engine, rebuilt whenever ``token`` moved.
 
         Staleness is handled copy-on-write style: the outdated cache is
         *replaced*, never cleared, so a reader that already fetched it
         keeps a consistent snapshot whose results simply stop being
         shared.  The replacement itself runs under a lock (double
         checked) so concurrent readers racing past a token bump install
-        exactly one fresh cache between them.
+        exactly one fresh cache between them.  A constant token (the
+        statement memo's ``None``) attaches the cache once.
         """
-        token = self._cache_token()
         cache: LRUCache | None = getattr(self, attr, None)
         if cache is None or cache.token != token:
             with _CACHE_ATTACH_LOCK:
@@ -440,10 +455,22 @@ class EngineBase:
         return cache
 
     def _result_cache(self) -> LRUCache:
-        return self._token_cache("_memo_results", self.result_cache_capacity)
+        return self._token_cache("_memo_results", self.result_cache_capacity, self._cache_token())
 
     def _subplan_cache(self) -> LRUCache:
-        return self._token_cache("_memo_subplans", self.subplan_cache_capacity)
+        return self._token_cache("_memo_subplans", self.subplan_cache_capacity, self._cache_token())
+
+    def statement_cache(self) -> LRUCache | None:
+        """The text → resolved-CPQ memo, or ``None`` while caching is off.
+
+        Tokenless, unlike the result and subplan LRUs: label ids are
+        append-only (:meth:`LabelRegistry.register`), so no update can
+        change what a text resolves to.  Callers store only successful
+        parses; a text with an unknown label is re-parsed every time.
+        """
+        if not self._caching_enabled():
+            return None
+        return self._token_cache("_memo_statements", self.statement_cache_capacity, None)
 
     def invalidate_cache(self) -> None:
         """Retire every memoized answer (bumps the engine epoch).
@@ -455,7 +482,7 @@ class EngineBase:
         self._cache_epoch = getattr(self, "_cache_epoch", 0) + 1
 
     def set_result_caching(self, enabled: bool) -> None:
-        """Enable/disable the cross-query evaluate/count/subplan LRUs.
+        """Enable/disable the cross-query statement/evaluate/count/subplan LRUs.
 
         With caching off, evaluation still memoizes repeated
         subexpressions *within* one query (a fresh per-evaluation memo),
@@ -466,6 +493,7 @@ class EngineBase:
         if not enabled:
             self._memo_results = None
             self._memo_subplans = None
+            self._memo_statements = None
 
     def _caching_enabled(self) -> bool:
         return getattr(self, "_result_caching", True)

@@ -382,7 +382,21 @@ class GraphDatabase:
     # ------------------------------------------------------------------
     def _resolve(self, query: CPQ | str) -> CPQ:
         if isinstance(query, str):
-            return parse(query, self.graph.registry)
+            # The engine's statement memo (None while caching is off or
+            # on engines without one) spares a repeated text the parser.
+            # Only successful parses of texts within the engine's
+            # ``statement_text_limit`` are stored.  A miss calls the
+            # ``parse`` imported here: benchmarks/e2e/trace.py times the
+            # parser by wrapping this module's name.
+            accessor = getattr(self._engine, "statement_cache", None)
+            statements = accessor() if accessor is not None else None
+            if statements is None or len(query) > self._engine.statement_text_limit:
+                return parse(query, self.graph.registry)
+            resolved = statements.get(query)
+            if resolved is None:
+                resolved = parse(query, self.graph.registry)
+                statements.put(query, resolved)
+            return resolved
         if not is_resolved(query):
             return resolve(query, self.graph.registry)
         return query

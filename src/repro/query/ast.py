@@ -222,12 +222,16 @@ def resolve(query: CPQ, registry: LabelRegistry) -> CPQ:
 
 
 def is_resolved(query: CPQ) -> bool:
-    """True if every label atom carries an integer id."""
-    return all(
-        isinstance(node.label, int)
-        for node in query.walk()
-        if isinstance(node, EdgeLabel)
-    )
+    """True if every label atom carries an integer id.
+
+    A plain recursion rather than a :meth:`CPQ.walk` generator: this
+    check runs on every evaluation, result-memo hits included.
+    """
+    if isinstance(query, EdgeLabel):
+        return isinstance(query.label, int)
+    if isinstance(query, (Join, Conjunction)):
+        return is_resolved(query.left) and is_resolved(query.right)
+    return True
 
 
 def as_label_sequence(query: CPQ) -> LabelSeq | None:

@@ -98,6 +98,26 @@ class TestSnapshotInvariant:
         assert getattr(clone, "_memo_results", None) is None
         assert getattr(clone, "_memo_subplans", None) is None
 
+    def test_snapshot_after_text_queries_drops_statement_memo(self, serve_graph):
+        db = GraphDatabase.from_graph(serve_graph.copy())
+        db.build_index(engine="cpqx", k=2)
+        try:
+            threaded = db.serve_batch(QUERIES, workers=2, mode="thread")
+            engine = db.engine
+            assert len(engine.statement_cache()) == len(QUERIES)
+            clone = pickle.loads(snapshot_bytes(engine))
+            assert getattr(clone, "_memo_statements", None) is None
+            resolved = [db._resolve(text) for text in QUERIES]
+            assert [clone.evaluate(query) for query in resolved] == [
+                engine.evaluate(query) for query in resolved
+            ]
+            processed = db.serve_batch(QUERIES, workers=2, mode="process")
+            assert [result.pairs() for result in processed] == [
+                result.pairs() for result in threaded
+            ]
+        finally:
+            db.close()
+
 
 # ---------------------------------------------------------------------------
 # WorkerPool under live readers (satellite: fork-safety regression)
