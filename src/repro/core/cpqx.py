@@ -29,6 +29,8 @@ maintenance (Sec. IV-E) through :meth:`insert_edge` / :meth:`delete_edge`.
 
 from __future__ import annotations
 
+from collections.abc import Set
+
 from repro.core.executor import EngineBase, Result
 from repro.core.pairset import PairSet
 from repro.core.parallel import derive_class_sequences, derive_class_sequences_parallel, resolve_workers
@@ -39,6 +41,9 @@ from repro.graph.digraph import LabeledDigraph, Pair, Vertex
 from repro.graph.interner import ID_BITS, ID_MASK
 from repro.graph.labels import LabelSeq
 from repro.plan.planner import Splitter, greedy_splitter
+
+#: What ``lookup`` returns for a sequence with no posting.
+_NO_CLASSES: frozenset[int] = frozenset()
 
 
 def _adopt_ic2p(
@@ -202,14 +207,18 @@ class CPQxIndex(EngineBase):
         return greedy_splitter(self.k)
 
     def lookup(self, seq: LabelSeq) -> Result:
-        """``Il2c(seq)`` — the class identifiers of a label sequence."""
+        """``Il2c(seq)`` — the class identifiers of a label sequence.
+
+        The result holds the live posting itself, not a copy: it is
+        read-only, and valid until the next maintenance call.
+        """
         if len(seq) > self.k:
             raise QueryDiameterError(
                 f"sequence of length {len(seq)} exceeds index parameter k={self.k}"
             )
-        return Result.of_classes(self._il2c.get(seq, ()))
+        return Result(classes=self._il2c.get(seq, _NO_CLASSES))
 
-    def expand_classes(self, classes: frozenset[int]) -> PairSet:
+    def expand_classes(self, classes: Set[int]) -> PairSet:
         """``∪ Ic2p(c)`` over ``classes``: one concatenation plus one
         sort of the disjoint class columns.
 
@@ -220,9 +229,9 @@ class CPQxIndex(EngineBase):
             map(self._ic2p.__getitem__, classes), self.graph.interner
         )
 
-    def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:
+    def loop_classes_of(self, classes: Set[int]) -> Set[int]:
         """IDENTITY on class sets: keep classes whose pairs are loops."""
-        return frozenset(classes & self._loop_classes)
+        return classes & self._loop_classes
 
     # ------------------------------------------------------------------
     # introspection

@@ -52,7 +52,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections.abc import Iterable, Set
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.core.cache import LRUCache
@@ -95,10 +95,6 @@ class ExecutionStats:
         self.pair_conjunctions += other.pair_conjunctions
         self.joins += other.joins
 
-    def snapshot(self) -> ExecutionStats:
-        """An independent copy (cached alongside memoized results)."""
-        return replace(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Result:
@@ -108,10 +104,15 @@ class Result:
     either a columnar :class:`PairSet` (migrated engines) or a plain
     frozenset of vertex tuples (legacy producers) — both satisfy the
     same length/iteration/set-operator surface.
+
+    ``classes`` may be an index's live ``Il2c`` posting, handed out
+    without a copy: it is read-only here, and valid only until the next
+    maintenance call, so a class result lives inside one evaluation (or
+    a memo guarded by the freshness token), under the session read lock.
     """
 
     pairs: frozenset[Pair] | PairSet | None = None
-    classes: frozenset[int] | None = None
+    classes: Set[int] | None = None
 
     def __post_init__(self) -> None:
         if (self.pairs is None) == (self.classes is None):
@@ -126,7 +127,7 @@ class Result:
 
     @staticmethod
     def of_classes(classes: Iterable[int]) -> Result:
-        """Wrap a class-id set."""
+        """Wrap a class-id set (an owned frozenset copy)."""
         return Result(classes=frozenset(classes))
 
 
@@ -139,10 +140,10 @@ class LookupProvider(Protocol):
     def lookup(self, seq: LabelSeq) -> Result:
         """Result of a label-sequence LOOKUP (classes or pairs)."""
 
-    def expand_classes(self, classes: frozenset[int]) -> PairSet:
+    def expand_classes(self, classes: Set[int]) -> PairSet:
         """Union of ``Ic2p(c)`` over ``classes`` (pair engines never call this)."""
 
-    def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:
+    def loop_classes_of(self, classes: Set[int]) -> Set[int]:
         """Subset of ``classes`` whose pairs are loops (IDENTITY on classes)."""
 
 
@@ -205,9 +206,10 @@ def _execute(
             result = _execute_uncached(plan, provider, None, memo)
             memo[plan] = (result, _NO_STATS)
             return result
+        # ``run`` is this node's own delta: nothing writes to it once stored.
         run = ExecutionStats()
         result = _execute_uncached(plan, provider, run, memo)
-        memo[plan] = (result, run.snapshot())
+        memo[plan] = (result, run)
         if stats is not None:
             stats.merge(run)
         return result
@@ -523,7 +525,7 @@ class EngineBase:
         )
         if stats is not None:
             stats.merge(run)
-        cache.put(key, (answers, run.snapshot()))
+        cache.put(key, (answers, run))
         return answers
 
     # ------------------------------------------------------------------
@@ -599,7 +601,7 @@ class EngineBase:
             assert run is not None
             if stats is not None:
                 stats.merge(run)
-            cache.put(key, (counted, run.snapshot()))
+            cache.put(key, (counted, run))
         return counted
 
     def explain(self, query: CPQ) -> str:
@@ -641,8 +643,8 @@ class EngineBase:
     def lookup(self, seq: LabelSeq) -> Result:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def expand_classes(self, classes: frozenset[int]) -> PairSet:
+    def expand_classes(self, classes: Set[int]) -> PairSet:
         raise QuerySyntaxError(f"{self.name} is not a class-based engine")
 
-    def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:
+    def loop_classes_of(self, classes: Set[int]) -> Set[int]:
         raise QuerySyntaxError(f"{self.name} is not a class-based engine")

@@ -26,6 +26,8 @@ sequence) insertion/deletion (Sec. V-C).
 
 from __future__ import annotations
 
+from collections.abc import Set
+
 from repro.core.executor import EngineBase, Result
 from repro.core.maintenance import affected_pairs
 from repro.core.pairset import PairSet
@@ -36,6 +38,9 @@ from repro.graph.digraph import LabeledDigraph, Pair, Vertex
 from repro.graph.interner import ID_BITS, ID_MASK
 from repro.graph.labels import LabelSeq
 from repro.plan.planner import Splitter, interest_splitter
+
+#: What ``lookup`` returns for a sequence with no posting.
+_NO_CLASSES: frozenset[int] = frozenset()
 
 
 def _single_label_interests(graph: LabeledDigraph) -> set[LabelSeq]:
@@ -214,10 +219,14 @@ class InterestAwareIndex(EngineBase):
         return interest_splitter(self.interests, self.k)
 
     def lookup(self, seq: LabelSeq) -> Result:
-        """``Il2c(seq)``; sequences outside the interests return empty."""
-        return Result.of_classes(self._il2c.get(seq, ()))
+        """``Il2c(seq)``; sequences outside the interests return empty.
 
-    def expand_classes(self, classes: frozenset[int]) -> PairSet:
+        The result holds the live posting itself, not a copy: it is
+        read-only, and valid until the next maintenance call.
+        """
+        return Result(classes=self._il2c.get(seq, _NO_CLASSES))
+
+    def expand_classes(self, classes: Set[int]) -> PairSet:
         """``∪ Ic2p(c)`` over ``classes``: one concatenation plus one
         sort of the disjoint class columns.
 
@@ -228,9 +237,9 @@ class InterestAwareIndex(EngineBase):
             map(self._ic2p.__getitem__, classes), self.graph.interner
         )
 
-    def loop_classes_of(self, classes: frozenset[int]) -> frozenset[int]:
+    def loop_classes_of(self, classes: Set[int]) -> Set[int]:
         """IDENTITY on class sets."""
-        return frozenset(classes & self._loop_classes)
+        return classes & self._loop_classes
 
     # ------------------------------------------------------------------
     # introspection (mirrors CPQxIndex)

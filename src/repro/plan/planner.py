@@ -1,6 +1,7 @@
 """CPQ expression → logical plan translation (Sec. IV-D).
 
-The planner applies the paper's three optimizations:
+The planner applies the paper's three optimizations in one bottom-up
+walk over the expression tree:
 
 1. ``q ∘ id = q`` — literal identity factors in joins are removed;
 2. only ``q ∩ id`` is handled as IDENTITY — a conjunction with a literal
@@ -8,7 +9,9 @@ The planner applies the paper's three optimizations:
    (Algorithm 4's \\*ID variants);
 3. maximal label-sequence chains are recognized and split into LOOKUP
    leaves of length at most ``k`` (Fig. 4: ``l1∘l2∘l3`` with ``k = 2``
-   becomes ``Lookup(⟨l1,l2⟩) ⋈ Lookup(⟨l3⟩)``).
+   becomes ``Lookup(⟨l1,l2⟩) ⋈ Lookup(⟨l3⟩)``).  The walk returns a join
+   chain of labels as its sequence, so a chain is split once, where it
+   meets a conjunction, a non-chain join or the root.
 
 Splitting is pluggable: CPQx splits greedily at length ``k``; iaCPQx
 splits at the boundaries of its interest set (Sec. V-B: "we divide label
@@ -19,11 +22,12 @@ in the given label sequences").
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import replace
 
 from repro.errors import QueryDiameterError, QuerySyntaxError
 from repro.graph.labels import LabelSeq
 from repro.plan.nodes import ConjNode, IdentityAll, JoinNode, Lookup, PlanNode
-from repro.query.ast import CPQ, Conjunction, EdgeLabel, Identity, Join, as_label_sequence
+from repro.query.ast import CPQ, Conjunction, EdgeLabel, Identity, Join
 
 #: A splitter maps a label sequence to LOOKUP-able chunks (len ≥ 1 each).
 Splitter = Callable[[LabelSeq], list[LabelSeq]]
@@ -67,62 +71,60 @@ def interest_splitter(interests: frozenset[LabelSeq], k: int) -> Splitter:
 
 def build_plan(query: CPQ, splitter: Splitter) -> PlanNode:
     """Translate a resolved CPQ expression into a logical plan."""
-    stripped = _strip_identity_joins(query)
-    return _build(stripped, splitter, with_identity=False)
+    return _plan_of(_shape(query, splitter), splitter, with_identity=False)
 
 
-def _strip_identity_joins(query: CPQ) -> CPQ:
-    """Apply ``q ∘ id = q`` bottom-up."""
+#: What :func:`_shape` makes of a subtree: a label sequence (a join chain
+#: of labels, not yet split), ``id`` (it reduces to the identity), or its plan.
+_Shape = LabelSeq | Identity | PlanNode
+
+
+def _shape(query: CPQ, splitter: Splitter) -> _Shape:
+    """One bottom-up walk: strips ``q ∘ id``, folds join chains of labels
+    into sequences and plans everything else."""
+    if isinstance(query, EdgeLabel):
+        return (query.label_id(),)
     if isinstance(query, Join):
-        left = _strip_identity_joins(query.left)
-        right = _strip_identity_joins(query.right)
+        left = _shape(query.left, splitter)
+        right = _shape(query.right, splitter)
         if isinstance(left, Identity):
             return right
         if isinstance(right, Identity):
             return left
-        return Join(left, right)
+        if isinstance(left, tuple) and isinstance(right, tuple):
+            return left + right
+        return JoinNode(_plan_of(left, splitter, False), _plan_of(right, splitter, False))
     if isinstance(query, Conjunction):
-        return Conjunction(
-            _strip_identity_joins(query.left),
-            _strip_identity_joins(query.right),
-        )
-    return query
-
-
-def _build(query: CPQ, splitter: Splitter, with_identity: bool) -> PlanNode:
+        left = _shape(query.left, splitter)
+        right = _shape(query.right, splitter)
+        if isinstance(left, Identity):
+            if isinstance(right, Identity):
+                return IdentityAll()
+            return _plan_of(right, splitter, True)
+        if isinstance(right, Identity):
+            return _plan_of(left, splitter, True)
+        return ConjNode(_plan_of(left, splitter, False), _plan_of(right, splitter, False))
     if isinstance(query, Identity):
-        return IdentityAll()
-    sequence = as_label_sequence(query)
-    if sequence is not None:
-        return _sequence_plan(sequence, splitter, with_identity)
-    if isinstance(query, Conjunction):
-        if isinstance(query.left, Identity) and isinstance(query.right, Identity):
-            return IdentityAll()
-        if isinstance(query.right, Identity):
-            return _build(query.left, splitter, with_identity=True)
-        if isinstance(query.left, Identity):
-            return _build(query.right, splitter, with_identity=True)
-        return ConjNode(
-            _build(query.left, splitter, with_identity=False),
-            _build(query.right, splitter, with_identity=False),
-            with_identity=with_identity,
-        )
-    if isinstance(query, Join):
-        return JoinNode(
-            _build(query.left, splitter, with_identity=False),
-            _build(query.right, splitter, with_identity=False),
-            with_identity=with_identity,
-        )
-    if isinstance(query, EdgeLabel):  # unreachable: handled by as_label_sequence
-        return Lookup((query.label_id(),), with_identity)
+        return query
     raise QuerySyntaxError(f"cannot plan CPQ node {query!r}")
+
+
+def _plan_of(shape: _Shape, splitter: Splitter, with_identity: bool) -> PlanNode:
+    """The plan of a shape, with a fused ``∩ id`` if ``with_identity``."""
+    if isinstance(shape, tuple):
+        return _sequence_plan(shape, splitter, with_identity)
+    if isinstance(shape, Identity):
+        return IdentityAll()
+    if with_identity and isinstance(shape, (Lookup, JoinNode, ConjNode)):
+        return replace(shape, with_identity=True)
+    return shape
 
 
 def _sequence_plan(seq: LabelSeq, splitter: Splitter, with_identity: bool) -> PlanNode:
     chunks = splitter(seq)
     if not chunks or any(not chunk for chunk in chunks):
         raise QueryDiameterError(f"splitter produced invalid chunks for {seq}")
-    if tuple(chunk for chunk in chunks) and sum(len(c) for c in chunks) != len(seq):
+    if sum(len(c) for c in chunks) != len(seq):
         raise QueryDiameterError(f"splitter lost labels for {seq}")
     if len(chunks) == 1:
         return Lookup(chunks[0], with_identity)

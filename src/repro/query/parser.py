@@ -1,4 +1,4 @@
-"""A small recursive-descent parser for the CPQ concrete syntax.
+"""A one-pass parser for the CPQ concrete syntax.
 
 Grammar (conjunction binds looser than join, both left-associative)::
 
@@ -12,116 +12,112 @@ Examples::
     parse("(f . f) & f^-")        # the paper's triad query (f∘f) ∩ f⁻¹
     parse("((a . b . c) & (d . e)) & id")   # Fig. 2 / Fig. 4 query
 
-Parsed atoms carry label *names*; pass a registry (or call
-:func:`repro.query.ast.resolve`) to obtain the engine's id form.
+The text is read left to right with one regex match per token and no
+lookahead re-match: an explicit stack of open parentheses replaces the
+recursive descent, and each label name is resolved against ``registry``
+(when one is given) as it is read.  Without a registry, atoms carry label
+*names* (:func:`repro.query.ast.resolve` converts them later).  An
+unknown name is reported only once the whole text has parsed, so a
+syntax error anywhere in the text wins over it.
 """
 
 from __future__ import annotations
 
 import re
 
-from repro.errors import QuerySyntaxError
+from repro.errors import QuerySyntaxError, UnknownLabelError
 from repro.graph.labels import LabelRegistry
-from repro.query.ast import CPQ, ID, EdgeLabel, conjoin_all, join_all, resolve
+from repro.query.ast import CPQ, ID, Conjunction, EdgeLabel, Join
 
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<lparen>\()|"
-    r"(?P<rparen>\))|"
-    r"(?P<join>[∘.])|"
-    r"(?P<conj>[∩&])|"
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\^-|⁻¹|⁻)?)"
+    r"(\()|"  # 1: lparen
+    r"(\))|"  # 2: rparen
+    r"([∘.])|"  # 3: join
+    r"([∩&])|"  # 4: conj
+    r"([A-Za-z_][A-Za-z0-9_]*)(\^-|⁻¹|⁻)?"  # 5: name, 6: inverse suffix
     r")"
 )
-
-
-class _TokenStream:
-    """Tokenizer with one-token lookahead."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        match = _TOKEN.match(self.text, self.pos)
-        if match is None:
-            if self.text[self.pos:].strip():
-                raise QuerySyntaxError(
-                    f"unexpected character {self.text[self.pos]!r}", self.pos
-                )
-            return None
-        kind = match.lastgroup
-        assert kind is not None
-        return kind, match.group(kind)
-
-    def next(self) -> tuple[str, str] | None:
-        token = self.peek()
-        if token is not None:
-            match = _TOKEN.match(self.text, self.pos)
-            assert match is not None
-            self.pos = match.end()
-        return token
-
-    def expect(self, kind: str) -> str:
-        token = self.next()
-        if token is None or token[0] != kind:
-            raise QuerySyntaxError(f"expected {kind}, got {token!r}", self.pos)
-        return token[1]
+_LPAREN, _RPAREN, _JOIN, _CONJ = 1, 2, 3, 4
+_KIND_NAMES = {1: "lparen", 2: "rparen", 3: "join", 4: "conj", 5: "name", 6: "name"}
 
 
 def parse(text: str, registry: LabelRegistry | None = None) -> CPQ:
     """Parse CPQ text; resolves label names if a registry is given."""
-    stream = _TokenStream(text)
-    query = _parse_expr(stream)
-    trailing = stream.next()
-    if trailing is not None:
-        raise QuerySyntaxError(f"unexpected trailing token {trailing[1]!r}", stream.pos)
-    if registry is not None:
-        query = resolve(query, registry)
-    return query
-
-
-def _parse_expr(stream: _TokenStream) -> CPQ:
-    parts = [_parse_term(stream)]
+    match = _TOKEN.match
+    pos = 0
+    # Per level: the conjunction and the join chain read so far; the
+    # enclosing levels wait on ``stack`` while a parenthesis is open.
+    stack: list[tuple[CPQ | None, CPQ | None]] = []
+    conj: CPQ | None = None
+    term: CPQ | None = None
+    unknown: str | None = None
     while True:
-        token = stream.peek()
-        if token is None or token[0] != "conj":
-            break
-        stream.next()
-        parts.append(_parse_term(stream))
-    return conjoin_all(parts)
-
-
-def _parse_term(stream: _TokenStream) -> CPQ:
-    parts = [_parse_factor(stream)]
-    while True:
-        token = stream.peek()
-        if token is None or token[0] != "join":
-            break
-        stream.next()
-        parts.append(_parse_factor(stream))
-    return join_all(parts)
-
-
-def _parse_factor(stream: _TokenStream) -> CPQ:
-    token = stream.next()
-    if token is None:
-        raise QuerySyntaxError("unexpected end of query", stream.pos)
-    kind, value = token
-    if kind == "lparen":
-        inner = _parse_expr(stream)
-        stream.expect("rparen")
-        return inner
-    if kind == "name":
-        inverted = False
-        for suffix in ("^-", "⁻¹", "⁻"):
-            if value.endswith(suffix):
-                value = value[: -len(suffix)]
-                inverted = True
-                break
-        if value == "id":
+        # An operand: a label, 'id' or an opening parenthesis.
+        token = match(text, pos)
+        if token is None:
+            raise _stray(text, pos) or QuerySyntaxError("unexpected end of query", pos)
+        kind = token.lastindex
+        pos = token.end()
+        if kind == _LPAREN:
+            stack.append((conj, term))
+            conj = term = None
+            continue
+        if kind is None or kind < 5:
+            raise QuerySyntaxError(f"unexpected token {token.group(kind or 0)!r}", pos)
+        name = token.group(5)
+        inverted = kind == 6
+        atom: CPQ
+        if name == "id":
             if inverted:
-                raise QuerySyntaxError("id has no inverse", stream.pos)
-            return ID
-        return EdgeLabel(value, inverted)
-    raise QuerySyntaxError(f"unexpected token {value!r}", stream.pos)
+                raise QuerySyntaxError("id has no inverse", pos)
+            atom = ID
+        elif registry is None:
+            atom = EdgeLabel(name, inverted)
+        else:
+            try:
+                atom = EdgeLabel(registry.id_of(name), inverted)
+            except UnknownLabelError:
+                if unknown is None:
+                    unknown = name
+                atom = EdgeLabel(name, inverted)
+        term = atom if term is None else Join(term, atom)
+        # Operators and closing parentheses until the next operand.
+        while True:
+            token = match(text, pos)
+            if token is None:
+                error = _stray(text, pos)
+                if error is None and stack:
+                    error = QuerySyntaxError("expected rparen, got None", pos)
+                if error is not None:
+                    raise error
+                query = term if conj is None else Conjunction(conj, term)
+                if unknown is not None:
+                    raise UnknownLabelError(unknown)
+                return query
+            kind = token.lastindex
+            pos = token.end()
+            if kind == _JOIN:
+                break
+            if kind == _CONJ:
+                conj = term if conj is None else Conjunction(conj, term)
+                term = None
+                break
+            if kind == _RPAREN and stack:
+                inner = term if conj is None else Conjunction(conj, term)
+                conj, term = stack.pop()
+                term = inner if term is None else Join(term, inner)
+                continue
+            value = token.group(0).lstrip()
+            if stack:
+                got = (_KIND_NAMES[kind or 0], value)
+                raise QuerySyntaxError(f"expected rparen, got {got!r}", pos)
+            raise QuerySyntaxError(f"unexpected trailing token {value!r}", pos)
+
+
+def _stray(text: str, pos: int) -> QuerySyntaxError | None:
+    """Where no token matches at ``pos``: the error for a stray character,
+    or ``None`` if only whitespace is left."""
+    if text[pos:].strip():
+        return QuerySyntaxError(f"unexpected character {text[pos]!r}", pos)
+    return None

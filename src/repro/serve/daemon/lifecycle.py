@@ -208,7 +208,7 @@ class ServingDaemon:
             return 503, {"error": "not_ready"}
         try:
             # A repeated text is a statement-memo hit; only a new text
-            # pays the parser (≈50 µs), still cheaper than a thread hop.
+            # pays the parser (≈20 µs), still cheaper than a thread hop.
             query = self.db._resolve(text)
         except ReproError as exc:
             return 400, {"error": "parse", "detail": str(exc)}

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro import GraphDatabase
 from repro.errors import IndexBuildError, QueryDiameterError
 from repro.core.cpqx import CPQxIndex
 from repro.core.paths import enumerate_sequences, reachable_pairs
 from repro.graph.generators import random_graph
 from repro.graph.io import edges_from_strings
 from repro.query.parser import parse
+from repro.query.semantics import evaluate as reference
+from repro.query.templates import TEMPLATES
+from repro.query.workloads import random_template_queries
 
 
 @pytest.fixture()
@@ -61,6 +67,69 @@ class TestLookup:
         result = index.lookup((1,))
         assert result.classes is not None
         assert result.pairs is None
+
+    def test_lookup_hands_out_the_posting_itself(self, index):
+        for seq, posting in index._il2c.items():
+            assert index.lookup(seq).classes is posting
+
+
+def _indexed_session(engine: str, stored: bool, tmp_path) -> GraphDatabase:
+    db = GraphDatabase.from_graph(random_graph(24, 90, 3, seed=11))
+    if engine == "iacpqx":
+        l1, l2 = (db.graph.registry.id_of(name) for name in ("l1", "l2"))
+        db.build_index(engine=engine, k=2, interests=[(l1, l2), (l2, l1), (l1, -l1)])
+    else:
+        db.build_index(engine=engine, k=2)
+    if not stored:
+        return db
+    path = tmp_path / f"{engine}.rsx"
+    db.save(path, format="store")
+    return GraphDatabase.open(path)
+
+
+class TestEvaluationNeverWritesAPosting:
+    """``lookup`` hands the executor live ``Il2c`` postings; every
+    consumer only reads them, and maintenance moves the freshness token
+    before it touches one."""
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["owned", "rsx"])
+    @pytest.mark.parametrize("engine", ["cpqx", "iacpqx"])
+    def test_every_consumer_leaves_postings_intact(self, engine, stored, tmp_path):
+        db = _indexed_session(engine, stored, tmp_path)
+        index = db.engine
+        il2c = copy.deepcopy(index._il2c)
+        loops = copy.deepcopy(index._loop_classes)
+        queries = [
+            wq.query
+            for template in TEMPLATES
+            for wq in random_template_queries(db.graph, template, count=2, seed=5)
+        ]
+        assert len(queries) >= 2 * len(TEMPLATES) - 2
+        # class-id conjunctions of two lookups, on iaCPQx's interests too
+        queries += ["l1 & l2", "(l1 . l2) & (l2 . l1)", "(l1 . l1^-) & l1 & id"]
+        for caching in (False, True):
+            index.set_result_caching(caching)
+            for query in queries:
+                db.query(query).pairs()
+                db.query(query).count()
+                db.query(query).explain()
+                db.query(query, limit=3).pairs()
+        assert index._il2c == il2c
+        assert index._loop_classes == loops
+
+    @pytest.mark.parametrize("engine", ["cpqx", "iacpqx"])
+    def test_subplan_entry_from_before_update_is_not_served(self, engine):
+        db = GraphDatabase.from_triples([("0", "1", "a"), ("1", "2", "a"), ("2", "0", "b")])
+        db.build_index(engine=engine, k=2)
+        text = "(a . a) & b^-"  # two lookups conjoined on class ids
+        assert db.query(text).pairs() == {("0", "2")}
+        memo = db.engine._memo_subplans
+        assert any(result.classes is not None for result, _ in memo._data.values())
+        db.update(add_edges=[("2", "3", "a"), ("3", "1", "b")])
+        answers = db.query(text).pairs()
+        assert answers == {("0", "2"), ("1", "3")}
+        assert answers == reference(parse(text, db.graph.registry), db.graph)
+        assert db.engine._memo_subplans is not memo
 
 
 class TestClassAccessors:

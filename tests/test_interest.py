@@ -92,6 +92,12 @@ class TestQueries:
         index = InterestAwareIndex.build(g, k=2, interests=set())
         assert index.lookup((1, 2)).classes == frozenset()
 
+    def test_lookup_hands_out_the_posting_itself(self, g):
+        index = InterestAwareIndex.build(g, k=2, interests={(1, 2), (2, 1)})
+        assert (1, 2) in index._il2c
+        for seq, posting in index._il2c.items():
+            assert index.lookup(seq).classes is posting
+
     def test_k3_with_three_label_interests(self, g):
         """Interests up to length k=3 answer diameter-3 chains in one hop."""
         index = InterestAwareIndex.build(g, k=3, interests={(1, 2, 1), (1, 1)})

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QuerySyntaxError
 from repro.graph.labels import LabelRegistry
-from repro.query.ast import Conjunction, EdgeLabel, ID, Join, label
+from repro.query.ast import CPQ, Conjunction, EdgeLabel, ID, Join, label
 from repro.query.parser import parse
 
 
@@ -108,3 +109,104 @@ class TestErrors:
             assert exc.position is not None
         else:  # pragma: no cover
             pytest.fail("expected QuerySyntaxError")
+
+
+def _outcome(text: str, registry: LabelRegistry | None) -> tuple:
+    try:
+        query = parse(text, registry)
+    except Exception as exc:  # noqa: BLE001 - the table pins the type too
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
+    return ("ok", repr(query))
+
+
+#: (text, outcome against the registry a=1 b=2 c=3 f=4, outcome without a
+#: registry).  An outcome is ("ok", repr of the parsed tree) or the
+#: exception's (type name, message, position).  The messages, and which
+#: error wins when a text has several (a syntax error beats an unknown
+#: label; an earlier token's error beats a later bad character), are the
+#: parser's public behaviour: the daemon returns them verbatim.
+GOLDEN = [
+    ('f', ('ok', '4'), ('ok', 'f')),
+    ('id', ('ok', 'id'), ('ok', 'id')),
+    ('f^-', ('ok', '4^-'), ('ok', 'f^-')),
+    ('f⁻¹', ('ok', '4^-'), ('ok', 'f^-')),
+    ('f⁻', ('ok', '4^-'), ('ok', 'f^-')),
+    ('a . b', ('ok', '(1 . 2)'), ('ok', '(a . b)')),
+    ('a ∘ b', ('ok', '(1 . 2)'), ('ok', '(a . b)')),
+    ('a & b', ('ok', '(1 & 2)'), ('ok', '(a & b)')),
+    ('a ∩ b', ('ok', '(1 & 2)'), ('ok', '(a & b)')),
+    ('a . b & c', ('ok', '((1 . 2) & 3)'), ('ok', '((a . b) & c)')),
+    ('a . (b & c)', ('ok', '(1 . (2 & 3))'), ('ok', '(a . (b & c))')),
+    ('(f . f) & f^-', ('ok', '((4 . 4) & 4^-)'), ('ok', '((f . f) & f^-)')),
+    ('((a . b . c) & (a . b)) & id', ('ok', '((((1 . 2) . 3) & (1 . 2)) & id)'), ('ok', '((((a . b) . c) & (a . b)) & id)')),
+    ('a∘b∩c⁻¹', ('ok', '((1 . 2) & 3^-)'), ('ok', '((a . b) & c^-)')),
+    ('  a .b  ', ('ok', '(1 . 2)'), ('ok', '(a . b)')),
+    ('((a))', ('ok', '1'), ('ok', 'a')),
+    ('a . id . b', ('ok', '((1 . id) . 2)'), ('ok', '((a . id) . b)')),
+    ('id & id', ('ok', '(id & id)'), ('ok', '(id & id)')),
+    ('\ta\n.\nb', ('ok', '(1 . 2)'), ('ok', '(a . b)')),
+    ('', ('QuerySyntaxError', 'unexpected end of query at position 0', 0), ('QuerySyntaxError', 'unexpected end of query at position 0', 0)),
+    ('   ', ('QuerySyntaxError', 'unexpected end of query at position 0', 0), ('QuerySyntaxError', 'unexpected end of query at position 0', 0)),
+    ('@a', ('QuerySyntaxError', "unexpected character '@' at position 0", 0), ('QuerySyntaxError', "unexpected character '@' at position 0", 0)),
+    ('a @ b', ('QuerySyntaxError', "unexpected character ' ' at position 1", 1), ('QuerySyntaxError', "unexpected character ' ' at position 1", 1)),
+    ('a . b @', ('QuerySyntaxError', "unexpected character ' ' at position 5", 5), ('QuerySyntaxError', "unexpected character ' ' at position 5", 5)),
+    ('a.@', ('QuerySyntaxError', "unexpected character '@' at position 2", 2), ('QuerySyntaxError', "unexpected character '@' at position 2", 2)),
+    ('é', ('QuerySyntaxError', "unexpected character 'é' at position 0", 0), ('QuerySyntaxError', "unexpected character 'é' at position 0", 0)),
+    ('(', ('QuerySyntaxError', 'unexpected end of query at position 1', 1), ('QuerySyntaxError', 'unexpected end of query at position 1', 1)),
+    (')', ('QuerySyntaxError', "unexpected token ')' at position 1", 1), ('QuerySyntaxError', "unexpected token ')' at position 1", 1)),
+    ('(a', ('QuerySyntaxError', 'expected rparen, got None at position 2', 2), ('QuerySyntaxError', 'expected rparen, got None at position 2', 2)),
+    ('a)', ('QuerySyntaxError', "unexpected trailing token ')' at position 2", 2), ('QuerySyntaxError', "unexpected trailing token ')' at position 2", 2)),
+    ('((a)', ('QuerySyntaxError', 'expected rparen, got None at position 4', 4), ('QuerySyntaxError', 'expected rparen, got None at position 4', 4)),
+    ('(a))', ('QuerySyntaxError', "unexpected trailing token ')' at position 4", 4), ('QuerySyntaxError', "unexpected trailing token ')' at position 4", 4)),
+    ('()', ('QuerySyntaxError', "unexpected token ')' at position 2", 2), ('QuerySyntaxError', "unexpected token ')' at position 2", 2)),
+    ('a .', ('QuerySyntaxError', 'unexpected end of query at position 3', 3), ('QuerySyntaxError', 'unexpected end of query at position 3', 3)),
+    ('a &', ('QuerySyntaxError', 'unexpected end of query at position 3', 3), ('QuerySyntaxError', 'unexpected end of query at position 3', 3)),
+    ('. a', ('QuerySyntaxError', "unexpected token '.' at position 1", 1), ('QuerySyntaxError', "unexpected token '.' at position 1", 1)),
+    ('&', ('QuerySyntaxError', "unexpected token '&' at position 1", 1), ('QuerySyntaxError', "unexpected token '&' at position 1", 1)),
+    ('a . . b', ('QuerySyntaxError', "unexpected token '.' at position 5", 5), ('QuerySyntaxError', "unexpected token '.' at position 5", 5)),
+    ('a ∩∩ b', ('QuerySyntaxError', "unexpected token '∩' at position 4", 4), ('QuerySyntaxError', "unexpected token '∩' at position 4", 4)),
+    ('a b', ('QuerySyntaxError', "unexpected trailing token 'b' at position 3", 3), ('QuerySyntaxError', "unexpected trailing token 'b' at position 3", 3)),
+    ('(a) (b)', ('QuerySyntaxError', "unexpected trailing token '(' at position 5", 5), ('QuerySyntaxError', "unexpected trailing token '(' at position 5", 5)),
+    ('a . b c', ('QuerySyntaxError', "unexpected trailing token 'c' at position 7", 7), ('QuerySyntaxError', "unexpected trailing token 'c' at position 7", 7)),
+    ('a^- ^-', ('QuerySyntaxError', "unexpected character ' ' at position 3", 3), ('QuerySyntaxError', "unexpected character ' ' at position 3", 3)),
+    ('id^-', ('QuerySyntaxError', 'id has no inverse at position 4', 4), ('QuerySyntaxError', 'id has no inverse at position 4', 4)),
+    ('a . id⁻¹', ('QuerySyntaxError', 'id has no inverse at position 8', 8), ('QuerySyntaxError', 'id has no inverse at position 8', 8)),
+    ('nope', ('UnknownLabelError', "unknown label: 'nope'", None), ('ok', 'nope')),
+    ('nope .', ('QuerySyntaxError', 'unexpected end of query at position 6', 6), ('QuerySyntaxError', 'unexpected end of query at position 6', 6)),
+    ('a & nope & zzz', ('UnknownLabelError', "unknown label: 'nope'", None), ('ok', '((a & nope) & zzz)')),
+    ('nope^-', ('UnknownLabelError', "unknown label: 'nope'", None), ('ok', 'nope^-')),
+    ('nope )', ('QuerySyntaxError', "unexpected trailing token ')' at position 6", 6), ('QuerySyntaxError', "unexpected trailing token ')' at position 6", 6)),
+    ('idx', ('UnknownLabelError', "unknown label: 'idx'", None), ('ok', 'idx')),
+    ('(nope', ('QuerySyntaxError', 'expected rparen, got None at position 5', 5), ('QuerySyntaxError', 'expected rparen, got None at position 5', 5)),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(("text", "resolved", "named"), GOLDEN)
+    def test_outcome(self, text, resolved, named):
+        assert _outcome(text, LabelRegistry(["a", "b", "c", "f"])) == resolved
+        assert _outcome(text, None) == named
+
+    def test_identity_is_the_shared_instance(self):
+        assert parse("((id))", LabelRegistry(["a"])) is ID
+
+
+def _resolved_trees(labels: int) -> st.SearchStrategy[CPQ]:
+    atoms = st.one_of(
+        st.just(ID),
+        st.builds(EdgeLabel, st.integers(1, labels), st.booleans()),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds(Join, inner, inner), st.builds(Conjunction, inner, inner)
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_resolved_trees(4))
+def test_text_round_trip(query):
+    registry = LabelRegistry(["a", "b", "c", "f"])
+    assert parse(query.to_text(registry), registry) == query

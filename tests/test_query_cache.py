@@ -21,7 +21,7 @@ import pytest
 import repro.db.session as session_module
 from repro import GraphDatabase
 from repro.core.cache import LRUCache
-from repro.core.executor import ExecutionStats
+from repro.core.executor import ExecutionStats, execute_plan
 from repro.errors import ReproError
 from repro.query.semantics import evaluate as reference_evaluate
 from repro.query.parser import parse
@@ -180,6 +180,49 @@ class TestStatsReplayOnHits:
         assert answers == reference_evaluate(query, db.graph)
         # the duplicated join subtree ran once; its counters replayed once
         assert stats.joins >= 1
+
+
+class _Forgetful(dict):
+    """A memo that never remembers: every subexpression executes."""
+
+    def get(self, key, default=None):
+        return None
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestStatsEqualUncachedRun:
+    """Every memo layer reports the counters of an evaluation that ran
+    every plan node: the stored per-node deltas are never written after
+    they are stored, however often they are replayed."""
+
+    TEXT = "(f . f . f) & (f . f . f) & f^-"  # repeats (f . f . f)
+
+    @pytest.mark.parametrize("engine", ["cpqx", "iacpqx"])
+    def test_every_memo_layer_reports_the_uncached_counters(self, engine):
+        plain = fresh_db(engine)
+        plain.engine.set_result_caching(False)
+        expected = plain.query(self.TEXT)
+        expected.pairs()
+        # the repeated subexpression, remembered within one query, reads
+        # as if it had run twice
+        executed = ExecutionStats()
+        execute_plan(
+            plain.engine.plan(parse(self.TEXT, plain.graph.registry)),
+            plain.engine,
+            stats=executed,
+            memo=_Forgetful(),
+        )
+        assert expected.stats == executed
+        assert expected.stats.joins == 2
+
+        cached = fresh_db(engine)
+        cached.query("(f . f . f) & f").pairs()  # leaves (f . f . f) in the subplan LRU
+        for _ in range(3):  # a subplan-LRU hit, then result-LRU hits
+            result = cached.query(self.TEXT)
+            result.pairs()
+            assert result.stats == expected.stats
 
 
 def count_parses(monkeypatch) -> list[str]:
